@@ -207,18 +207,17 @@ void BM_SearchSubtract_ThreeTemplateBank(benchmark::State& state) {
 BENCHMARK(BM_SearchSubtract_ThreeTemplateBank);
 
 void BM_SearchSubtract_ExactRecompute(benchmark::State& state) {
-  // The exact reference path (DetectorConfig::exact_recompute): every
-  // matched filter re-run from scratch per iteration. The gap to
+  // The exact reference path (detect_with_trace): every matched filter
+  // re-run from scratch per iteration. The gap to
   // BM_SearchSubtract_ThreeTemplateBank is what the shared-spectrum +
   // incremental fast path buys at equal output.
   const auto cir = test_cir(3, 6);
   ranging::DetectorConfig cfg;
   cfg.shape_registers = {0x93, 0xC8, 0xE6};
-  cfg.exact_recompute = true;
   ranging::SearchSubtractDetector det{cfg};
   for (auto _ : state) {
-    auto found = det.detect(cir.taps, cir.ts_s, 3);
-    benchmark::DoNotOptimize(found.data());
+    auto trace = det.detect_with_trace(cir.taps, cir.ts_s, 3);
+    benchmark::DoNotOptimize(trace.responses.data());
   }
 }
 BENCHMARK(BM_SearchSubtract_ExactRecompute);
@@ -226,10 +225,10 @@ BENCHMARK(BM_SearchSubtract_ExactRecompute);
 // --- SIMD dispatch-level benches (DESIGN.md §12) ------------------------
 //
 // Each runs one detect-path kernel at every dispatch level (benchmark arg
-// 0 = scalar, 1 = sse2, 2 = avx2); levels this machine cannot run are
-// skipped. The scalar leg is the denominator of the vectorization speedup
-// CI tracks; the level is restored after each bench so the rest of the
-// suite runs at the startup dispatch.
+// 0 = scalar, 2 = avx2); levels this machine cannot run are skipped. The
+// scalar leg is the denominator of the vectorization speedup CI tracks;
+// the level is restored after each bench so the rest of the suite runs at
+// the startup dispatch.
 
 struct BenchLevelGuard {
   simd::Level saved = simd::active_level();
@@ -259,7 +258,7 @@ void BM_Simd_CmulConj_8192(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_Simd_CmulConj_8192)->DenseRange(0, 2);
+BENCHMARK(BM_Simd_CmulConj_8192)->Arg(0)->Arg(2);
 
 void BM_Simd_FftPow2_8192(benchmark::State& state) {
   // The transform length of the fast detect path for a 1016-tap CIR
@@ -274,7 +273,7 @@ void BM_Simd_FftPow2_8192(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Simd_FftPow2_8192)->DenseRange(0, 2);
+BENCHMARK(BM_Simd_FftPow2_8192)->Arg(0)->Arg(2);
 
 void BM_Simd_FftBluestein_1016(benchmark::State& state) {
   BenchLevelGuard guard;
@@ -285,7 +284,7 @@ void BM_Simd_FftBluestein_1016(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Simd_FftBluestein_1016)->DenseRange(0, 2);
+BENCHMARK(BM_Simd_FftBluestein_1016)->Arg(0)->Arg(2);
 
 void BM_Simd_BankCorrelate(benchmark::State& state) {
   // The bank_correlate span body: one pointwise multiply + inverse
@@ -309,7 +308,7 @@ void BM_Simd_BankCorrelate(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_Simd_BankCorrelate)->DenseRange(0, 2);
+BENCHMARK(BM_Simd_BankCorrelate)->Arg(0)->Arg(2);
 
 void BM_Simd_SubtractUpdate(benchmark::State& state) {
   // The subtract_update span body: the windowed correlation that patches
@@ -334,36 +333,13 @@ void BM_Simd_SubtractUpdate(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Simd_SubtractUpdate)->DenseRange(0, 2);
+BENCHMARK(BM_Simd_SubtractUpdate)->Arg(0)->Arg(2);
 
-// --- batched detection throughput ---------------------------------------
-
-void BM_SearchSubtract_DetectBatch32(benchmark::State& state) {
-  // 32 CIRs through one staged batch; cirs_per_sec is the headline
-  // throughput metric CI requires in the bench JSON.
-  std::vector<CVec> cirs;
-  double ts_s = 0.0;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    const auto cir = test_cir(3, 40 + i);
-    cirs.push_back(cir.taps);
-    ts_s = cir.ts_s;
-  }
-  ranging::DetectorConfig cfg;
-  cfg.shape_registers = {0x93, 0xC8, 0xE6};
-  ranging::SearchSubtractDetector det{cfg};
-  for (auto _ : state) {
-    auto out = det.detect_batch(cirs, ts_s, 3);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["cirs_per_sec"] = benchmark::Counter(
-      static_cast<double>(cirs.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_SearchSubtract_DetectBatch32);
+// --- per-call detection throughput --------------------------------------
 
 void BM_SearchSubtract_DetectLoop32(benchmark::State& state) {
-  // The same 32 CIRs through per-CIR detect(): the baseline the batch
-  // restaging is measured against.
+  // 32 CIRs through per-CIR detect(); cirs_per_sec is the headline
+  // throughput metric CI requires in the bench JSON.
   std::vector<CVec> cirs;
   double ts_s = 0.0;
   for (std::uint64_t i = 0; i < 32; ++i) {

@@ -44,12 +44,6 @@ struct DetectorConfig {
   /// the amplitude dependence that makes the baseline fragile (challenge
   /// IV); search-and-subtract ignores it.
   double baseline_relative_threshold = 0.3;
-  /// Search-and-subtract only: force the exact reference path that
-  /// re-runs every matched filter from scratch each iteration, instead of
-  /// the shared-spectrum + incremental-update fast path. The two paths
-  /// agree to floating-point roundoff (asserted in debug builds); the flag
-  /// exists as a fallback and for equivalence testing.
-  bool exact_recompute = false;
 };
 
 /// Common interface so benches can swap search-and-subtract against the

@@ -15,10 +15,10 @@
 // first correlation transform), then maintains every template's correlation
 // output *incrementally* after each subtraction — a subtraction only
 // perturbs a ~2-template-length window, so the update is a short windowed
-// correlation instead of K full FFTs. The exact reference path
-// (DetectorConfig::exact_recompute, and always used when tracing) re-runs
-// every matched filter from scratch per iteration; debug builds assert the
-// two paths agree to roundoff.
+// correlation instead of K full FFTs. The exact reference path, run by
+// detect_with_trace() and kept as the test oracle, re-runs every matched
+// filter from scratch per iteration; debug builds assert the two paths
+// agree to roundoff.
 #pragma once
 
 #include <cstddef>
@@ -39,16 +39,6 @@ class SearchSubtractDetector final : public ResponseDetector {
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,
                                        int max_responses) const override;
 
-  /// Batched detection: push many CIRs (all of the same tap count and sample
-  /// period) through one template-bank/plan setup. Results are elementwise
-  /// identical to calling detect() per CIR — the batch only restages the
-  /// work: per-CIR upsample + forward spectra first, then a template-major
-  /// bank-correlation sweep (each template's spectrum stays hot in cache
-  /// across the whole chunk), then the per-CIR iterative search. Throughput
-  /// (CIRs/sec) is the headline bench metric of this path.
-  std::vector<std::vector<DetectedResponse>> detect_batch(
-      const std::vector<CVec>& cirs, double ts_s, int max_responses) const;
-
   /// Per-iteration record of the algorithm for visualisation (Fig. 4):
   /// the matched-filter output of the residual before each subtraction.
   struct DetectionTrace {
@@ -60,7 +50,8 @@ class SearchSubtractDetector final : public ResponseDetector {
 
   /// Like detect(), additionally recording the intermediate filter outputs.
   /// Tracing always runs the exact full-recompute path (the trace *is* the
-  /// per-iteration filter output of the paper's algorithm).
+  /// per-iteration filter output of the paper's algorithm), so its
+  /// `responses` are the reference the fast path is tested against.
   DetectionTrace detect_with_trace(const CVec& cir_taps, double ts_s,
                                    int max_responses) const;
 
@@ -91,7 +82,7 @@ class SearchSubtractDetector final : public ResponseDetector {
   struct TemplateBank;
 
   /// Opaque per-CIR working set of the fast path (public only so the
-  /// thread-local scratch pool in the implementation can name it).
+  /// thread-local scratch in the implementation can name it).
   struct FastState;
 
  private:
@@ -106,8 +97,7 @@ class SearchSubtractDetector final : public ResponseDetector {
   std::vector<DetectedResponse> detect_fast(const CVec& cir_taps,
                                             const TemplateBank& bank,
                                             int max_responses) const;
-  // Stages of the fast path, shared by detect_fast (one CIR straight
-  // through) and detect_batch (stage-major over a chunk of CIRs).
+  // Stages of the fast path, run in order by detect_fast.
   void prepare_residual(const CVec& cir_taps, const TemplateBank& bank,
                         FastState& st) const;
   void bank_correlate(const TemplateBank& bank, FastState& st) const;

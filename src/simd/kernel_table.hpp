@@ -33,10 +33,9 @@ struct KernelTable {
 /// vector tables must reproduce).
 const KernelTable& scalar_table();
 
-/// SSE2 / AVX2 tables, or nullptr when the binary was built without the
-/// corresponding instruction set (non-x86 targets, or a compiler without
-/// -mavx2). Runtime CPU support is checked separately by simd.cpp.
-const KernelTable* sse2_table_or_null();
+/// The AVX2 table, or nullptr when the binary was built without AVX2
+/// (non-x86 targets, or a compiler without -mavx2). Runtime CPU support is
+/// checked separately by simd.cpp.
 const KernelTable* avx2_table_or_null();
 
 }  // namespace uwb::simd::detail

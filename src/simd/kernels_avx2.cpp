@@ -2,7 +2,7 @@
 //
 // This is the only translation unit compiled with -mavx2 (see
 // src/simd/CMakeLists.txt); when the compiler cannot target AVX2 the file
-// degrades to a nullptr table and dispatch stops at SSE2. No FMA is used
+// degrades to a nullptr table and dispatch stops at scalar. No FMA is used
 // anywhere — contraction would change rounding and break the bit-identity
 // contract of the elementwise kernels (simd.hpp).
 //

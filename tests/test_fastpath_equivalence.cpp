@@ -1,7 +1,8 @@
 // Equivalence tests: the shared-spectrum + incremental fast detection path
-// against the exact per-iteration recompute path (DESIGN.md Sect. 8), the
-// spectrum-reusing matched-filter entry point against the self-contained
-// one, and bit-identical Monte-Carlo detection across thread counts.
+// against the exact per-iteration recompute path that detect_with_trace()
+// runs (DESIGN.md Sect. 8), the spectrum-reusing matched-filter entry point
+// against the self-contained one, and bit-identical Monte-Carlo detection
+// across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -65,26 +66,22 @@ void expect_same_responses(const std::vector<DetectedResponse>& fast,
 }
 
 TEST(FastPathEquivalence, MatchesExactOnRandomMultiResponderCirs) {
-  SearchSubtractDetector fast{multi_shape_config()};
-  DetectorConfig exact_cfg = multi_shape_config();
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
+  SearchSubtractDetector det{multi_shape_config()};
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const auto cir = random_cir(seed, 2, 5);
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 6),
-                          exact.detect(cir.taps, cir.ts_s, 6), seed);
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 6),
+                          det.detect_with_trace(cir.taps, cir.ts_s, 6).responses,
+                          seed);
   }
 }
 
 TEST(FastPathEquivalence, MatchesExactWithSingleTemplateBank) {
-  SearchSubtractDetector fast{DetectorConfig{}};
-  DetectorConfig exact_cfg;
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
+  SearchSubtractDetector det{DetectorConfig{}};
   for (std::uint64_t seed = 100; seed <= 106; ++seed) {
     const auto cir = random_cir(seed, 1, 4);
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 5),
-                          exact.detect(cir.taps, cir.ts_s, 5), seed);
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 5),
+                          det.detect_with_trace(cir.taps, cir.ts_s, 5).responses,
+                          seed);
   }
 }
 
@@ -92,37 +89,27 @@ TEST(FastPathEquivalence, MatchesExactWithoutUpsampling) {
   // factor == 1 skips the upsample fusion and takes the plain copy branch.
   DetectorConfig cfg = multi_shape_config();
   cfg.upsample_factor = 1;
-  SearchSubtractDetector fast{cfg};
-  DetectorConfig exact_cfg = cfg;
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
+  SearchSubtractDetector det{cfg};
   for (std::uint64_t seed = 200; seed <= 204; ++seed) {
     const auto cir = random_cir(seed, 2, 4);
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 5),
-                          exact.detect(cir.taps, cir.ts_s, 5), seed);
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 5),
+                          det.detect_with_trace(cir.taps, cir.ts_s, 5).responses,
+                          seed);
   }
 }
 
 TEST(FastPathEquivalence, TracedDetectEqualsExactPath) {
-  // Tracing always runs the exact path; its responses must match a plain
-  // exact_recompute detect bit for bit (identical code path and inputs).
-  DetectorConfig exact_cfg = multi_shape_config();
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
-  SearchSubtractDetector traced{multi_shape_config()};
+  // Tracing always runs the exact path: its responses are the fast path's
+  // to roundoff, and it records one filter output per iteration.
+  SearchSubtractDetector det{multi_shape_config()};
   const auto cir = random_cir(7, 3, 3);
-  const auto plain = exact.detect(cir.taps, cir.ts_s, 4);
-  const auto trace = traced.detect_with_trace(cir.taps, cir.ts_s, 4);
-  ASSERT_EQ(trace.responses.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(trace.responses[i].tau_s, plain[i].tau_s);
-    EXPECT_EQ(trace.responses[i].amplitude, plain[i].amplitude);
-    EXPECT_EQ(trace.responses[i].shape_index, plain[i].shape_index);
-  }
+  const auto fast = det.detect(cir.taps, cir.ts_s, 4);
+  const auto trace = det.detect_with_trace(cir.taps, cir.ts_s, 4);
+  expect_same_responses(fast, trace.responses, 7);
   // One filter output per iteration, including the final rejected one when
   // the search stopped at the noise floor before max_responses.
-  EXPECT_GE(trace.mf_outputs.size(), plain.size());
-  EXPECT_LE(trace.mf_outputs.size(), plain.size() + 1);
+  EXPECT_GE(trace.mf_outputs.size(), trace.responses.size());
+  EXPECT_LE(trace.mf_outputs.size(), trace.responses.size() + 1);
 }
 
 TEST(FastPathEquivalence, ApplySpectrumMatchesApply) {
