@@ -7,7 +7,6 @@
 
 #include "common/expects.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "simd/simd.hpp"
 
 namespace uwb::dsp {
@@ -181,8 +180,14 @@ struct PlanCache {
   std::unordered_map<std::size_t, std::unique_ptr<FftPlan>> plans;
   const FftPlan* last = nullptr;
   std::size_t last_n = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
+  // The thread's shard counters, bound when the cache is built so the
+  // lookup path (reached from the detector's hot loop) does no registry
+  // work. Live in every build flavour, unlike UWB_OBS_COUNT.
+  obs::Counter& hits = obs::MetricsRegistry::instance().local_shard().counter(
+      "cache_fft_plan_hits");
+  obs::Counter& misses =
+      obs::MetricsRegistry::instance().local_shard().counter(
+          "cache_fft_plan_misses");
 };
 
 PlanCache& plan_cache() {
@@ -196,38 +201,22 @@ const FftPlan& plan_for(std::size_t n) {
   UWB_EXPECTS(n >= 1);
   PlanCache& cache = plan_cache();
   if (cache.last_n == n) {
-    ++cache.hits;
-    UWB_OBS_COUNT("cache_fft_plan_hits", 1);
+    cache.hits.add();
     return *cache.last;
   }
   auto it = cache.plans.find(n);
   if (it == cache.plans.end()) {
-    ++cache.misses;
-    UWB_OBS_COUNT("cache_fft_plan_misses", 1);
+    cache.misses.add();
     // One allocation per distinct transform size, then cached for the
     // process lifetime; the detect loop runs on the last_n fast path.
     // uwb-lint: allow(hot-path-alloc)
     it = cache.plans.emplace(n, std::make_unique<FftPlan>(n)).first;
   } else {
-    ++cache.hits;
-    UWB_OBS_COUNT("cache_fft_plan_hits", 1);
+    cache.hits.add();
   }
   cache.last = it->second.get();
   cache.last_n = n;
   return *cache.last;
-}
-
-FftPlanCacheStats fft_plan_cache_stats() {
-  const PlanCache& cache = plan_cache();
-  return {cache.hits, cache.misses};
-}
-
-FftPlanCacheStats fft_plan_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts). Zero in
-  // UWB_OBS_DISABLED builds, where the counting macros compile out.
-  const auto snap = obs::MetricsRegistry::instance().aggregate();
-  return {snap.counter("cache_fft_plan_hits"),
-          snap.counter("cache_fft_plan_misses")};
 }
 
 void clear_fft_plan_cache() {

@@ -78,22 +78,10 @@ class FftPlan {
 };
 
 /// The calling thread's cached plan for length n (built on first use; the
-/// reference stays valid for the thread's lifetime).
+/// reference stays valid for the thread's lifetime). Hits and misses count
+/// into the calling thread's obs shard as `cache_fft_plan_hits`/
+/// `cache_fft_plan_misses` (live in every build flavour).
 const FftPlan& plan_for(std::size_t n);
-
-/// Hit/miss counters of an FFT plan cache.
-struct FftPlanCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-
-/// Counters of the calling thread's plan cache.
-FftPlanCacheStats fft_plan_cache_stats();
-
-/// Process-wide counters aggregated across every thread's plan cache (what
-/// the bench JSON reports: worker-thread caches are invisible to the main
-/// thread otherwise).
-FftPlanCacheStats fft_plan_cache_stats_total();
 
 /// Drop the calling thread's cached plans (tests / memory pressure).
 void clear_fft_plan_cache();

@@ -9,7 +9,6 @@
 #include "common/expects.hpp"
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 
 namespace uwb::dw {
 
@@ -102,7 +101,6 @@ struct PulseCache {
     }
   };
   std::unordered_map<Key, CVec, KeyHash> entries;
-  PulseCacheStats stats;
 };
 
 PulseCache& pulse_cache() {
@@ -117,26 +115,24 @@ const CVec& cached_pulse_template(std::uint8_t tc_pgdelay, double ts_s) {
   PulseCache& cache = pulse_cache();
   const auto key = std::make_pair(tc_pgdelay, double_bits(ts_s));
   const auto it = cache.entries.find(key);
+  // The thread's shard counters, registered on first use so a name never
+  // counted stays out of the metrics export (as with UWB_OBS_COUNT, which
+  // these replace so the counts stay live in every build flavour).
   if (it != cache.entries.end()) {
-    ++cache.stats.hits;
-    UWB_OBS_COUNT("cache_pulse_hits", 1);
+    static thread_local obs::Counter& hits =
+        obs::MetricsRegistry::instance().local_shard().counter(
+            "cache_pulse_hits");
+    hits.add();
     return it->second;
   }
-  ++cache.stats.misses;
-  UWB_OBS_COUNT("cache_pulse_misses", 1);
+  static thread_local obs::Counter& misses =
+      obs::MetricsRegistry::instance().local_shard().counter(
+          "cache_pulse_misses");
+  misses.add();
   return cache.entries.emplace(key, sample_pulse_template(tc_pgdelay, ts_s))
       .first->second;
 }
 
-PulseCacheStats pulse_cache_stats() { return pulse_cache().stats; }
-
-PulseCacheStats pulse_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts). Zero in
-  // UWB_OBS_DISABLED builds, where the counting macros compile out.
-  const auto snap = obs::MetricsRegistry::instance().aggregate();
-  return {snap.counter("cache_pulse_hits"), snap.counter("cache_pulse_misses")};
-}
-
-void clear_pulse_cache() { pulse_cache() = PulseCache{}; }
+void clear_pulse_cache() { pulse_cache().entries.clear(); }
 
 }  // namespace uwb::dw

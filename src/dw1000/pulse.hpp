@@ -49,20 +49,10 @@ std::size_t template_centre_index(std::uint8_t tc_pgdelay, double ts_s);
 /// stays valid for the lifetime of the calling thread; repeated requests
 /// for the same (register, Ts) pair — e.g. one scenario construction per
 /// Monte-Carlo trial — stop re-sampling the pulse. Never shared across
-/// threads, so no synchronisation is involved.
+/// threads, so no synchronisation is involved. Hits and misses count into
+/// the calling thread's obs shard as `cache_pulse_hits`/`cache_pulse_misses`
+/// (live in every build flavour).
 const CVec& cached_pulse_template(std::uint8_t tc_pgdelay, double ts_s);
-
-/// Hit/miss counters of the calling thread's pulse-template cache.
-struct PulseCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-PulseCacheStats pulse_cache_stats();
-
-/// Process-wide pulse-cache counters aggregated over every thread (what the
-/// bench JSON reports; worker-thread caches are invisible to the main
-/// thread otherwise).
-PulseCacheStats pulse_cache_stats_total();
 
 /// Drop the calling thread's cached templates (tests / memory pressure).
 void clear_pulse_cache();

@@ -146,11 +146,7 @@ std::string geometry_key(const Room& room, Vec2 tx, Vec2 rx, int max_order) {
   return key;
 }
 
-struct PathCache {
-  std::unordered_map<std::string, std::vector<SpecularPath>> entries;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
+using PathCache = std::unordered_map<std::string, std::vector<SpecularPath>>;
 
 PathCache& path_cache() {
   thread_local PathCache cache;
@@ -168,23 +164,14 @@ const std::vector<SpecularPath>& compute_paths_cached(const Room& room,
                                                       int max_order) {
   PathCache& cache = path_cache();
   std::string key = geometry_key(room, tx, rx, max_order);
-  const auto it = cache.entries.find(key);
-  if (it != cache.entries.end()) {
-    ++cache.hits;
-    return it->second;
-  }
-  ++cache.misses;
-  if (cache.entries.size() >= kMaxPathCacheEntries) cache.entries.clear();
-  return cache.entries
+  const auto it = cache.find(key);
+  if (it != cache.end()) return it->second;
+  if (cache.size() >= kMaxPathCacheEntries) cache.clear();
+  return cache
       .emplace(std::move(key), compute_paths(room, tx, rx, max_order))
       .first->second;
 }
 
-PathCacheStats path_cache_stats() {
-  const PathCache& cache = path_cache();
-  return {cache.hits, cache.misses, cache.entries.size()};
-}
-
-void clear_path_cache() { path_cache() = PathCache{}; }
+void clear_path_cache() { path_cache().clear(); }
 
 }  // namespace uwb::geom

@@ -37,18 +37,11 @@ std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
 /// room geometry (wall/obstacle coordinates and losses) plus the endpoints
 /// and order, and returns a reference valid for the calling thread's
 /// lifetime. The cache self-clears when it grows past a few thousand
-/// entries (mobile-tag sweeps), so memory stays bounded.
+/// entries (mobile-tag sweeps), so memory stays bounded. It keeps no
+/// hit/miss statistics: a hit is visible as the same storage coming back.
 const std::vector<SpecularPath>& compute_paths_cached(const Room& room,
                                                       Vec2 tx, Vec2 rx,
                                                       int max_order = 1);
-
-/// Hit/miss/entry counters of the calling thread's path cache.
-struct PathCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t entries = 0;
-};
-PathCacheStats path_cache_stats();
 
 /// Drop the calling thread's cached paths (tests / memory pressure).
 void clear_path_cache();

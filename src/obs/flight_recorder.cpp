@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 
 #include "common/expects.hpp"
+#include "obs/metrics.hpp"
 
 namespace uwb::obs {
 
@@ -86,34 +88,33 @@ FlightRecorder& FlightRecorder::instance() {
   return recorder;
 }
 
-FrShard& FlightRecorder::register_shard() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<FrShard>(
-      static_cast<int>(shards_.size()), capacity_));
-  return *shards_.back();
+namespace {
+
+// Calls fn on every ring, in shard registration order.
+template <typename Fn>
+void for_each_ring(Fn&& fn) {
+  for (Shard* shard : MetricsRegistry::instance().shards())
+    if (FrShard* ring = shard->flight_ring()) fn(*ring);
 }
 
+}  // namespace
+
 FrShard& FlightRecorder::local_shard() {
-  thread_local FrShard* shard = nullptr;
-  // A capacity change invalidates cached pointers' rings in place, not the
-  // pointers themselves, so the thread-local cache stays valid.
-  if (shard == nullptr) shard = &register_shard();
-  return *shard;
+  Shard& shard = MetricsRegistry::instance().local_shard();
+  if (shard.flight_ring_ == nullptr)
+    shard.flight_ring_ = std::make_unique<FrShard>(shard.id(), capacity_);
+  return *shard.flight_ring_;
 }
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
   UWB_EXPECTS(capacity >= 1);
-  std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
-  for (auto& shard : shards_) shard->set_capacity(capacity);
+  for_each_ring([capacity](FrShard& ring) { ring.set_capacity(capacity); });
 }
 
 std::vector<FrRecord> FlightRecorder::collect() const {
   std::vector<FrRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& shard : shards_) shard->append_to(out);
-  }
+  for_each_ring([&out](const FrShard& ring) { ring.append_to(out); });
   // One session's events live on one shard with consecutive sequence
   // numbers, so (session, seq) reproduces the record order regardless of
   // which worker ran the session or how many shards exist. Ties (possible
@@ -128,16 +129,14 @@ std::vector<FrRecord> FlightRecorder::collect() const {
 }
 
 std::uint64_t FlightRecorder::dropped_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->dropped();
+  for_each_ring([&total](const FrShard& ring) { total += ring.dropped(); });
   return total;
 }
 
 std::uint64_t FlightRecorder::recorded_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->recorded();
+  for_each_ring([&total](const FrShard& ring) { total += ring.recorded(); });
   return total;
 }
 
@@ -226,8 +225,7 @@ bool FlightRecorder::write_jsonl(const std::string& path) const {
 }
 
 void FlightRecorder::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& shard : shards_) shard->clear();
+  for_each_ring([](FrShard& ring) { ring.clear(); });
 }
 
 }  // namespace uwb::obs

@@ -11,9 +11,9 @@
 // Monte-Carlo worker-thread count (as long as no shard overflowed — see
 // dropped_events()).
 //
-// Sharding mirrors MetricsRegistry: every thread records into its own
-// bounded ring buffer with plain non-atomic writes; collect()/to_jsonl()
-// merge all shards under the same quiescence contract (no aggregation
+// Each thread's ring lives in its MetricsRegistry shard: the thread
+// records into it with plain non-atomic writes, and collect()/to_jsonl()
+// walk the registry's shards under its quiescence contract (no aggregation
 // concurrent with instrumentation). The merge sorts by (session, shard
 // sequence): one session — one Monte-Carlo trial — runs entirely on one
 // worker, so its events carry consecutive sequence numbers from a single
@@ -26,10 +26,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -184,9 +183,9 @@ class FrShard {
   std::uint64_t dropped_ = 0;
 };
 
-/// Process-wide registry of per-thread shards, mirroring MetricsRegistry.
-/// Recording is off by default (enabled() gates every macro) so untraced
-/// runs never touch the rings.
+/// Process-wide front end over the per-thread rings held by the
+/// MetricsRegistry shards. Recording is off by default (enabled() gates
+/// every macro) so untraced runs never touch — or allocate — the rings.
 class FlightRecorder {
  public:
   /// Default per-shard ring capacity (events). ~96 bytes/record, so the
@@ -202,12 +201,13 @@ class FlightRecorder {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// The calling thread's shard (created on first use, retained after
-  /// thread exit so recordings survive worker churn).
+  /// The calling thread's ring, created in its metrics shard at capacity()
+  /// on first use (retained after thread exit so recordings survive worker
+  /// churn).
   FrShard& local_shard();
 
-  /// Replace every shard's ring capacity and clear them (quiescence
-  /// contract; applies to shards created later too).
+  /// Replace every ring's capacity and clear them (quiescence contract;
+  /// rings created later start at the new capacity too).
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const { return capacity_; }
 
@@ -229,17 +229,14 @@ class FlightRecorder {
   /// Write to_jsonl() to `path`; false on I/O failure.
   bool write_jsonl(const std::string& path) const;
 
-  /// Clear every shard's records and counters (capacity kept).
+  /// Clear every ring's records and counters (capacity kept).
   void reset();
 
  private:
   FlightRecorder() = default;
-  FrShard& register_shard();
 
   static std::atomic<bool> enabled_;
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<FrShard>> shards_;
   std::size_t capacity_ = kDefaultCapacity;
 };
 

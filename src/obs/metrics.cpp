@@ -7,6 +7,7 @@
 #include <map>
 
 #include "common/expects.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace uwb::obs {
@@ -132,6 +133,10 @@ double Histogram::quantile(double q) const {
   }
   return max_;
 }
+
+// Out of line: the ring's deleter needs FrShard complete.
+Shard::Shard(int id) : id_(id) {}
+Shard::~Shard() = default;
 
 Counter& Shard::counter(std::string_view name) {
   for (auto& [n, c] : counters_)

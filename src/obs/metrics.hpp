@@ -12,11 +12,16 @@
 // inherently scheduling-dependent and surface under skipped prefixes in
 // the bench JSON (`obs_*`, like `mc_*`/`cache_*`).
 //
-// Quiescence contract: aggregate(), reset(), and the trace-sink collectors
-// must not run concurrently with instrumentation on other threads. The
-// benches and the Monte-Carlo runner satisfy this by aggregating only
-// after the pool has drained (ThreadPool::wait_idle establishes the
-// happens-before edge); tests join their threads first.
+// A shard is the only per-thread obs state: besides the metrics it holds
+// the thread's span stack and trace buffer (trace_sink.hpp) and, once the
+// thread first records, its flight-recorder ring (flight_recorder.hpp).
+//
+// Quiescence contract: aggregate(), reset(), the trace-sink collectors and
+// the flight-recorder collectors (collect(), to_jsonl(), the event totals,
+// set_capacity(), reset()) must not run concurrently with instrumentation
+// on other threads. The benches and the Monte-Carlo runner satisfy this by
+// aggregating only after the pool has drained (ThreadPool::wait_idle
+// establishes the happens-before edge); tests join their threads first.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +35,8 @@
 #include <vector>
 
 namespace uwb::obs {
+
+class FrShard;
 
 /// Nanoseconds since an arbitrary process-wide steady-clock anchor (the
 /// first call). All span/trace timestamps share this origin.
@@ -153,7 +160,8 @@ class Shard {
   /// traced run never drains the sink (~5 MB/shard worst case).
   static constexpr std::size_t kMaxTraceEventsPerShard = std::size_t{1} << 18;
 
-  explicit Shard(int id) : id_(id) {}
+  explicit Shard(int id);
+  ~Shard();
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
@@ -186,11 +194,18 @@ class Shard {
   const std::vector<SpanStat>& span_stats() const { return span_stats_; }
   const std::vector<TraceEvent>& trace_events() const { return trace_; }
 
+  /// This thread's flight-recorder ring, or nullptr before its first
+  /// record: FlightRecorder::local_shard() creates it, so threads that
+  /// never record carry no ring (a default one is ~24 MB).
+  FrShard* flight_ring() const { return flight_ring_.get(); }
+
   void clear_trace_events() { trace_.clear(); }
-  /// Zero every value in place (references stay valid).
+  /// Zero every value in place (references stay valid). The flight ring
+  /// is left alone; FlightRecorder::reset() clears it.
   void reset();
 
  private:
+  friend class FlightRecorder;
   SpanStat& span_stat(const char* name);
 
   int id_ = 0;
@@ -201,6 +216,7 @@ class Shard {
   std::vector<SpanStat> span_stats_;
   std::vector<TraceEvent> trace_;
   int span_depth_ = 0;
+  std::unique_ptr<FrShard> flight_ring_;
 };
 
 /// Deterministically merged view over every shard: names sorted, counters
@@ -248,7 +264,8 @@ class MetricsRegistry {
   /// references stay valid.
   void reset();
 
-  /// Stable pointers to every registered shard (for the trace sink).
+  /// Stable pointers to every registered shard, in registration order
+  /// (for the trace sink and the flight recorder).
   std::vector<Shard*> shards() const;
 
  private:

@@ -101,8 +101,6 @@ struct BankCache {
   std::unordered_map<Key, std::shared_ptr<const SearchSubtractDetector::TemplateBank>,
                      KeyHash>
       entries;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
 };
 
 BankCache& bank_cache() {
@@ -125,14 +123,21 @@ const SearchSubtractDetector::TemplateBank& SearchSubtractDetector::bank_for(
 
   BankCache& cache = bank_cache();
   const BankCache::Key key{config_.shape_registers, double_bits(ts_up)};
+  // The thread's shard counters, registered on first use so a name never
+  // counted stays out of the metrics export (as with UWB_OBS_COUNT, which
+  // these replace so the counts stay live in every build flavour).
   if (const auto it = cache.entries.find(key); it != cache.entries.end()) {
-    ++cache.hits;
-    UWB_OBS_COUNT("cache_bank_hits", 1);
+    static thread_local obs::Counter& hits =
+        obs::MetricsRegistry::instance().local_shard().counter(
+            "cache_bank_hits");
+    hits.add();
     bank_ = it->second;
     return *bank_;
   }
-  ++cache.misses;
-  UWB_OBS_COUNT("cache_bank_misses", 1);
+  static thread_local obs::Counter& misses =
+      obs::MetricsRegistry::instance().local_shard().counter(
+          "cache_bank_misses");
+  misses.add();
 
   auto bank = std::make_shared<TemplateBank>();
   bank->ts_up = ts_up;
@@ -151,20 +156,6 @@ const SearchSubtractDetector::TemplateBank& SearchSubtractDetector::bank_for(
   bank_ = bank;
   cache.entries.emplace(key, std::move(bank));
   return *bank_;
-}
-
-SearchSubtractDetector::BankCacheStats
-SearchSubtractDetector::bank_cache_stats() {
-  const BankCache& cache = bank_cache();
-  return {cache.hits, cache.misses};
-}
-
-SearchSubtractDetector::BankCacheStats
-SearchSubtractDetector::bank_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts). Zero in
-  // UWB_OBS_DISABLED builds, where the counting macros compile out.
-  const auto snap = obs::MetricsRegistry::instance().aggregate();
-  return {snap.counter("cache_bank_hits"), snap.counter("cache_bank_misses")};
 }
 
 void SearchSubtractDetector::clear_bank_cache() {

@@ -62,19 +62,10 @@ class SearchSubtractDetector final : public ResponseDetector {
 
   const DetectorConfig& config() const { return config_; }
 
-  /// Hit/miss counters of the calling thread's template-bank cache.
-  struct BankCacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-  };
-  static BankCacheStats bank_cache_stats();
-
-  /// Process-wide bank-cache counters aggregated over every thread (what
-  /// the bench JSON reports; worker-thread caches are invisible to the
-  /// main thread otherwise).
-  static BankCacheStats bank_cache_stats_total();
-
-  /// Drop the calling thread's cached banks (tests / memory pressure).
+  /// Template banks are memoised per thread; lookups count into the
+  /// calling thread's obs shard as `cache_bank_hits`/`cache_bank_misses`
+  /// (live in every build flavour). Drop the calling thread's cached banks
+  /// (tests / memory pressure).
   static void clear_bank_cache();
 
   /// Opaque precomputed template bank (public only so the thread-local

@@ -15,11 +15,14 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/span.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
 
@@ -115,6 +118,40 @@ TEST_F(FlightRecorderTest, RingOverflowKeepsNewestAndCountsDropped) {
   const std::string jsonl = FlightRecorder::instance().to_jsonl();
   EXPECT_NE(jsonl.find("\"dropped_events\":12"), std::string::npos);
   EXPECT_NE(jsonl.find("\"events\":8"), std::string::npos);
+}
+
+// --- lazy ring allocation ---------------------------------------------------
+
+TEST_F(FlightRecorderTest, RingAllocatedOnFirstRecordOnly) {
+  // Every thread that opens a span gets a metrics shard, but a default ring
+  // is ~24 MB: the shard must gain its ring only on the thread's first
+  // record, sized at the capacity current at that moment.
+  const FrShard* ring_before = nullptr;
+  const FrShard* ring_after = nullptr;
+  std::size_t capacity_after = 0;
+  std::thread([&] {
+    Shard& shard = MetricsRegistry::instance().local_shard();
+    {
+      Span span("ring_probe");
+      shard.counter("ring_probe").add(1);
+      UWB_FR_EVENT(.kind = FrKind::kStatus, .name = "ring_probe");
+    }
+    ring_before = shard.flight_ring();
+    FlightRecorder::instance().set_capacity(8);
+    FlightRecorder::set_enabled(true);
+    UWB_FR_EVENT(.kind = FrKind::kStatus, .name = "ring_probe");
+    ring_after = shard.flight_ring();
+    if (ring_after != nullptr) capacity_after = ring_after->capacity();
+  }).join();
+  EXPECT_EQ(ring_before, nullptr);
+  if (!kEnabled) {
+    // Record sites compiled out: the thread never records, so no ring.
+    EXPECT_EQ(ring_after, nullptr);
+    return;
+  }
+  ASSERT_NE(ring_after, nullptr);
+  EXPECT_EQ(capacity_after, 8u);
+  EXPECT_EQ(FlightRecorder::instance().recorded_events(), 1u);
 }
 
 // --- golden-seed byte identity ----------------------------------------------

@@ -15,7 +15,6 @@
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
 #include "runner/thread_pool.hpp"
-#include "runner/worker_context.hpp"
 
 namespace uwb {
 namespace {
@@ -241,48 +240,59 @@ TEST(MonteCarlo, ScenarioRoundsBitIdenticalAcrossThreads) {
   expect_bit_identical(run_rounds(1), run_rounds(8));
 }
 
-// --- worker context & caches -------------------------------------------------
+// --- per-thread memo caches --------------------------------------------------
 
-TEST(WorkerContext, CachedPulseTemplateMatchesUncached) {
-  auto& ctx = runner::WorkerContext::current();
-  ctx.clear();
+// Pulse-cache traffic of the calling thread, read from its obs shard.
+std::uint64_t pulse_hits() {
+  return obs::MetricsRegistry::instance()
+      .local_shard()
+      .counter("cache_pulse_hits")
+      .value();
+}
+std::uint64_t pulse_misses() {
+  return obs::MetricsRegistry::instance()
+      .local_shard()
+      .counter("cache_pulse_misses")
+      .value();
+}
+
+TEST(MemoCache, CachedPulseTemplateMatchesUncached) {
+  dw::clear_pulse_cache();
   const CVec direct = dw::sample_pulse_template(0xC8, 1e-10);
-  const CVec& cached = ctx.pulse_template(0xC8, 1e-10);
+  const CVec& cached = dw::cached_pulse_template(0xC8, 1e-10);
   ASSERT_EQ(cached.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i)
     EXPECT_EQ(cached[i], direct[i]);
   // Second lookup is a hit and returns the same storage.
-  const auto before = ctx.stats();
-  const CVec& again = ctx.pulse_template(0xC8, 1e-10);
+  const std::uint64_t hits_before = pulse_hits();
+  const CVec& again = dw::cached_pulse_template(0xC8, 1e-10);
   EXPECT_EQ(&again, &cached);
-  EXPECT_EQ(ctx.stats().pulse_hits, before.pulse_hits + 1);
+  EXPECT_EQ(pulse_hits(), hits_before + 1);
 }
 
-TEST(WorkerContext, CachedPathsMatchUncached) {
-  auto& ctx = runner::WorkerContext::current();
-  ctx.clear();
+TEST(MemoCache, CachedPathsMatchUncached) {
+  geom::clear_path_cache();
   const geom::Room room = geom::Room::rectangular(10.0, 6.0, 5.0);
   const geom::Vec2 tx{2.0, 1.2}, rx{7.5, 4.2};
   const auto direct = geom::compute_paths(room, tx, rx, 1);
-  const auto& cached = ctx.specular_paths(room, tx, rx, 1);
+  const auto& cached = geom::compute_paths_cached(room, tx, rx, 1);
   ASSERT_EQ(cached.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(cached[i].length_m, direct[i].length_m);
     EXPECT_EQ(cached[i].order, direct[i].order);
     EXPECT_EQ(cached[i].reflection_loss_db, direct[i].reflection_loss_db);
   }
-  const auto before = ctx.stats();
-  ctx.specular_paths(room, tx, rx, 1);
-  EXPECT_EQ(ctx.stats().path_hits, before.path_hits + 1);
+  // Second lookup is a hit: the same storage comes back.
+  const auto& again = geom::compute_paths_cached(room, tx, rx, 1);
+  EXPECT_EQ(&again, &cached);
 }
 
-TEST(WorkerContext, DistinctGeometriesDoNotCollide) {
-  auto& ctx = runner::WorkerContext::current();
-  ctx.clear();
+TEST(MemoCache, DistinctGeometriesDoNotCollide) {
+  geom::clear_path_cache();
   const geom::Room a = geom::Room::rectangular(10.0, 6.0, 5.0);
   const geom::Room b = geom::Room::rectangular(10.0, 6.0, 8.0);  // loss diff
-  const auto& pa = ctx.specular_paths(a, {2.0, 1.0}, {7.0, 4.0}, 1);
-  const auto& pb = ctx.specular_paths(b, {2.0, 1.0}, {7.0, 4.0}, 1);
+  const auto& pa = geom::compute_paths_cached(a, {2.0, 1.0}, {7.0, 4.0}, 1);
+  const auto& pb = geom::compute_paths_cached(b, {2.0, 1.0}, {7.0, 4.0}, 1);
   ASSERT_FALSE(pa.empty());
   ASSERT_FALSE(pb.empty());
   bool any_diff = false;
@@ -291,22 +301,20 @@ TEST(WorkerContext, DistinctGeometriesDoNotCollide) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(WorkerContext, EachThreadHasItsOwnCaches) {
-  auto& main_ctx = runner::WorkerContext::current();
-  main_ctx.clear();
-  main_ctx.pulse_template(0x93, 1e-10);
-  const auto main_stats = main_ctx.stats();
-  std::size_t other_misses = 1;  // sentinel; overwritten by the thread
+TEST(MemoCache, EachThreadHasItsOwnCaches) {
+  dw::clear_pulse_cache();
+  dw::cached_pulse_template(0x93, 1e-10);
+  const std::uint64_t main_misses = pulse_misses();
+  std::uint64_t other_misses = 1;  // sentinel; overwritten by the thread
   std::thread([&other_misses] {
     // A fresh thread starts cold: its first lookup must be a miss even
     // though the main thread already cached this exact template.
-    auto& ctx = runner::WorkerContext::current();
-    other_misses = ctx.stats().pulse_misses;
-    ctx.pulse_template(0x93, 1e-10);
-    other_misses = ctx.stats().pulse_misses - other_misses;
+    other_misses = pulse_misses();
+    dw::cached_pulse_template(0x93, 1e-10);
+    other_misses = pulse_misses() - other_misses;
   }).join();
   EXPECT_EQ(other_misses, 1u);
-  EXPECT_EQ(main_ctx.stats().pulse_misses, main_stats.pulse_misses);
+  EXPECT_EQ(pulse_misses(), main_misses);
 }
 
 }  // namespace
