@@ -1,6 +1,7 @@
 #include "ranging/dstwr.hpp"
 
 #include "common/expects.hpp"
+#include "ranging/round.hpp"
 
 namespace uwb::ranging {
 
@@ -38,13 +39,12 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     sim::NodeConfig nc;
     nc.id = id;
     nc.position = pos;
-    nc.clock_epoch_offset = SimTime::from_seconds(rng_.uniform(0.0, 17.0));
-    nc.drift_ppm = rng_.normal(0.0, config_.clock_drift_sigma_ppm);
     nc.phy = config_.phy;
     nc.cir = config_.cir;
     nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
-    return std::make_unique<sim::Node>(sim_, *medium_, nc, rng_.fork());
+    return make_session_node(sim_, *medium_, nc, config_.clock_drift_sigma_ppm,
+                             rng_);
   };
   initiator_ = make_node(0, config_.initiator_position);
   responder_ = make_node(1, config_.responder_position);

@@ -95,23 +95,12 @@ class NetworkRangingSession {
   sim::Node& node(int index);
 
  private:
-  /// Responder ID of node `node_index` in a round initiated by
-  /// `initiator_index` (ascending node index, skipping the initiator).
-  int responder_id_of(int node_index, int initiator_index) const;
-  /// Inverse of responder_id_of.
-  int node_of_responder(int responder_id, int initiator_index) const;
-
   NetworkConfig config_;
   Rng rng_;
   sim::Simulator sim_;
   std::unique_ptr<sim::Medium> medium_;
   std::vector<std::unique_ptr<sim::Node>> nodes_;
   SearchSubtractDetector detector_;
-
-  // Per-round state.
-  int current_initiator_ = -1;
-  std::optional<sim::RxResult> initiator_result_;
-  dw::DwTimestamp t_tx_init_;
 };
 
 }  // namespace uwb::ranging

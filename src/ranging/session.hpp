@@ -7,10 +7,7 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
-
-#include <set>
 
 #include "channel/channel_model.hpp"
 #include "common/result.hpp"
@@ -28,6 +25,8 @@
 #include "sim/simulator.hpp"
 
 namespace uwb::ranging {
+
+struct AttemptResponder;  // ranging/round.hpp
 
 /// Per-responder outcome of a round, from the session's orchestration view
 /// (DESIGN.md Sect. 10 maps each variant to its DW1000 failure mode).
@@ -241,32 +240,19 @@ class ConcurrentRangingScenario {
   const SessionStats& stats() const { return stats_; }
 
  private:
-  void arm_responder(int responder_id);
-  /// One protocol attempt (the historical run_round body).
-  RoundOutcome run_attempt();
-  /// Derive the per-responder reports / degraded flag of a finished attempt.
-  void fill_reports(RoundOutcome& out) const;
-
   ScenarioConfig config_;
   Rng rng_;
   sim::Simulator sim_;
   std::unique_ptr<sim::Medium> medium_;
   std::unique_ptr<sim::Node> initiator_;
   std::map<int, std::unique_ptr<sim::Node>> responders_;
+  /// responders_ as the round's (node, id) list, ascending id.
+  std::vector<AttemptResponder> attempt_responders_;
   SearchSubtractDetector detector_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::AttackInjector> attacker_;
   std::unique_ptr<AttackDetector> attack_detector_;
-  /// Deployed responder IDs (the attack detector's unknown_id ground set).
-  std::set<int> configured_ids_;
   SessionStats stats_;
-
-  // Per-attempt state filled by the node callbacks.
-  std::optional<sim::RxResult> initiator_result_;
-  dw::DwTimestamp t_tx_init_;
-  std::vector<ResponderTruth> truths_;
-  std::set<int> muted_;
-  std::set<int> late_aborted_;
 };
 
 }  // namespace uwb::ranging

@@ -1,4 +1,4 @@
-// Unit tests: signal helpers, matched filter, peak search, stats, windows.
+// Unit tests: signal helpers, matched filter, peak search, stats.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "dsp/peaks.hpp"
 #include "dsp/signal.hpp"
 #include "dsp/stats.hpp"
-#include "dsp/window.hpp"
 
 namespace uwb::dsp {
 namespace {
@@ -213,30 +212,6 @@ TEST(StatsTest, MedianAndPercentile) {
   EXPECT_DOUBLE_EQ(percentile(RVec{0.0, 10.0}, 25.0), 2.5);
   EXPECT_THROW(percentile(RVec{1.0}, 101.0), PreconditionError);
   EXPECT_THROW(mean(RVec{}), PreconditionError);
-}
-
-TEST(WindowTest, HannProperties) {
-  const RVec w = hann(64);
-  EXPECT_NEAR(w[0], 0.0, 1e-12);
-  EXPECT_NEAR(w[32], 1.0, 1e-12);  // periodic Hann peaks at n/2
-  for (double v : w) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-  }
-}
-
-TEST(WindowTest, HammingEndpointsNonZero) {
-  const RVec w = hamming(32);
-  EXPECT_NEAR(w[0], 0.08, 1e-12);
-  EXPECT_GT(w[16], 0.99);
-}
-
-TEST(WindowTest, GaussianSymmetricAndPeaked) {
-  const RVec w = gaussian(33, 0.4);
-  EXPECT_DOUBLE_EQ(w[16], 1.0);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(w[i], w[32 - i], 1e-12);
-  EXPECT_THROW(gaussian(0, 0.4), PreconditionError);
-  EXPECT_THROW(gaussian(8, 0.0), PreconditionError);
 }
 
 }  // namespace

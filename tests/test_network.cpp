@@ -93,6 +93,19 @@ TEST(NetworkTest, ReciprocalDistancesAgree) {
     }
 }
 
+TEST(NetworkTest, SameSeedSameSweep) {
+  NetworkRangingSession a(small_network(3));
+  NetworkRangingSession b(small_network(3));
+  const NetworkSweep sa = a.run_full_sweep();
+  const NetworkSweep sb = b.run_full_sweep();
+  EXPECT_EQ(sa.matrix, sb.matrix);  // bit-identical doubles, same misses
+  EXPECT_EQ(sa.total_energy_j, sb.total_energy_j);
+  EXPECT_EQ(sa.duration_s, sb.duration_s);
+
+  NetworkRangingSession c(small_network(4));
+  EXPECT_NE(c.run_full_sweep().matrix, sa.matrix);
+}
+
 TEST(NetworkTest, TwoNodeNetworkIsPlainTwr) {
   NetworkConfig cfg;
   cfg.room = geom::Room::rectangular(16.0, 10.0, 10.0);

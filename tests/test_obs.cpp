@@ -330,7 +330,8 @@ TEST_F(ObsTest, SpanTotalsAccumulateAcrossCalls) {
   for (int i = 0; i < 5; ++i) {
     Span s("repeated");
   }
-  const auto* total = MetricsRegistry::instance().aggregate().span("repeated");
+  const auto snap = MetricsRegistry::instance().aggregate();
+  const auto* total = snap.span("repeated");
   ASSERT_NE(total, nullptr);
   EXPECT_EQ(total->count, 5u);
 }
