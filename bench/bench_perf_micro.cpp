@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <complex>
 #include <numbers>
 
@@ -17,7 +16,6 @@
 #include "dw1000/pulse.hpp"
 #include "ranging/search_subtract.hpp"
 #include "ranging/threshold_detector.hpp"
-#include "runner/thread_pool.hpp"
 #include "simd/simd.hpp"
 #include "bench_util.hpp"
 
@@ -395,18 +393,6 @@ void BM_DeriveSeed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeriveSeed);
-
-void BM_ThreadPoolSubmitDrain(benchmark::State& state) {
-  runner::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int> acc{0};
-    for (int i = 0; i < 256; ++i)
-      pool.submit([&acc] { acc.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    benchmark::DoNotOptimize(acc.load());
-  }
-}
-BENCHMARK(BM_ThreadPoolSubmitDrain)->Arg(1)->Arg(4);
 
 void BM_MonteCarloRun(benchmark::State& state) {
   runner::MonteCarlo::Config cfg;

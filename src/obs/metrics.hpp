@@ -20,7 +20,7 @@
 // the flight-recorder collectors (collect(), to_jsonl(), the event totals,
 // set_capacity(), reset()) must not run concurrently with instrumentation
 // on other threads. The benches and the Monte-Carlo runner satisfy this by
-// aggregating only after the pool has drained (ThreadPool::wait_idle
+// aggregating only after MonteCarlo::run returns (joining its worker threads
 // establishes the happens-before edge); tests join their threads first.
 #pragma once
 

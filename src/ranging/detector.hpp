@@ -1,4 +1,4 @@
-// Response detection interface (paper Sect. IV / VI).
+// Response detection types shared by the detectors (paper Sect. IV / VI).
 //
 // A detector takes the superposed CIR of a concurrent-ranging round and
 // extracts the responses of the individual responders: their path delays,
@@ -44,19 +44,6 @@ struct DetectorConfig {
   /// the amplitude dependence that makes the baseline fragile (challenge
   /// IV); search-and-subtract ignores it.
   double baseline_relative_threshold = 0.3;
-};
-
-/// Common interface so benches can swap search-and-subtract against the
-/// threshold baseline on identical CIRs.
-class ResponseDetector {
- public:
-  virtual ~ResponseDetector() = default;
-
-  /// Extract up to `max_responses` responses from `cir_taps` (spacing
-  /// `ts_s`). Results are sorted by ascending tau (paper step 7).
-  virtual std::vector<DetectedResponse> detect(const CVec& cir_taps,
-                                               double ts_s,
-                                               int max_responses) const = 0;
 };
 
 }  // namespace uwb::ranging

@@ -28,16 +28,18 @@
 
 namespace uwb::ranging {
 
-class SearchSubtractDetector final : public ResponseDetector {
+class SearchSubtractDetector {
  public:
   explicit SearchSubtractDetector(DetectorConfig config);
-  ~SearchSubtractDetector() override;
+  ~SearchSubtractDetector();
 
   SearchSubtractDetector(SearchSubtractDetector&&) noexcept;
   SearchSubtractDetector& operator=(SearchSubtractDetector&&) noexcept;
 
+  /// Extract up to `max_responses` responses from `cir_taps` (spacing
+  /// `ts_s`). Results are sorted by ascending tau (paper step 7).
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,
-                                       int max_responses) const override;
+                                       int max_responses) const;
 
   /// Per-iteration record of the algorithm for visualisation (Fig. 4):
   /// the matched-filter output of the residual before each subtraction.

@@ -12,14 +12,14 @@
 
 namespace uwb::ranging {
 
-class ThresholdDetector final : public ResponseDetector {
+class ThresholdDetector {
  public:
   /// Uses upsample_factor, the *first* shape register (for the window
   /// length), and noise_threshold_factor of the config.
   explicit ThresholdDetector(DetectorConfig config);
 
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,
-                                       int max_responses) const override;
+                                       int max_responses) const;
 
   const DetectorConfig& config() const { return config_; }
 

@@ -1,14 +1,17 @@
 #include "runner/monte_carlo.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "common/expects.hpp"
 #include "common/random.hpp"
 #include "dsp/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace uwb::runner {
 
@@ -82,8 +85,10 @@ MonteCarlo::MonteCarlo(Config config) : config_(config) {
 }
 
 int MonteCarlo::threads() const {
-  return config_.threads > 0 ? config_.threads
-                             : ThreadPool::hardware_threads();
+  return config_.threads > 0
+             ? config_.threads
+             : static_cast<int>(
+                   std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TrialResult MonteCarlo::run(int n_trials, const TrialFn& fn) const {
@@ -120,20 +125,37 @@ TrialResult MonteCarlo::run(int n_trials, const TrialFn& fn) const {
   if (workers <= 1 || n_trials <= 1) {
     for (int i = 0; i < n_trials; ++i) run_trial(i);
   } else {
-    // Small chunks keep the stealing granular enough to absorb uneven
-    // trial costs; chunking only groups scheduling, never results.
+    // Each worker claims the next `chunk` trial indices from one counter,
+    // so trials start in ascending index order and uneven trial costs
+    // balance by themselves; chunking only groups claims, never results.
     const int chunk =
         config_.chunk > 0
-            ? config_.chunk
+            ? std::min(config_.chunk, n_trials)  // keeps `next` from wrapping
             : std::max(1, n_trials / (workers * 8));
-    ThreadPool pool(workers);
-    for (int begin = 0; begin < n_trials; begin += chunk) {
-      const int end = std::min(n_trials, begin + chunk);
-      pool.submit([&, begin, end] {
-        for (int i = begin; i < end; ++i) run_trial(i);
-      });
-    }
-    pool.wait_idle();
+    std::atomic<int> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+    {
+      std::vector<std::jthread> team;
+      team.reserve(static_cast<std::size_t>(workers));
+      for (int w = 0; w < workers; ++w)
+        team.emplace_back([&] {
+          for (int begin = next.fetch_add(chunk); begin < n_trials;
+               begin = next.fetch_add(chunk)) {
+            const int end = std::min(n_trials, begin + chunk);
+            for (int i = begin; i < end; ++i) {
+              try {
+                run_trial(i);
+              } catch (...) {
+                // Keep the first failure; every other trial still runs.
+                const std::lock_guard lock(error_mutex);
+                if (!first_error) first_error = std::current_exception();
+              }
+            }
+          }
+        });
+    }  // joining the workers publishes every record and obs shard
+    if (first_error) std::rethrow_exception(first_error);
   }
 
   TrialResult result;

@@ -1,10 +1,11 @@
 // Parallel Monte-Carlo experiment engine with a determinism contract.
 //
-// MonteCarlo::run(n_trials, fn) executes `fn` once per trial on a
-// work-stealing thread pool. Each trial receives a seed derived purely
-// from (base_seed, trial_index) via uwb::derive_seed, and records results
-// into its own TrialRecorder; after the pool drains, the per-trial records
-// are merged in trial-index order. Consequently the aggregate — every
+// MonteCarlo::run(n_trials, fn) executes `fn` once per trial on worker
+// threads started for the run, which claim trials in ascending index order
+// from one shared counter. Each trial receives a seed derived purely from
+// (base_seed, trial_index) via uwb::derive_seed, and records results into
+// its own TrialRecorder; after the workers have joined, the per-trial
+// records are merged in trial-index order. Consequently the aggregate — every
 // sample, every counter, bit for bit — is identical regardless of thread
 // count or scheduling, which is what lets CI diff bench JSON across runs
 // and machines.
@@ -109,11 +110,11 @@ class MonteCarlo {
  public:
   struct Config {
     /// Worker threads; 0 = one per hardware thread, 1 = run inline on the
-    /// calling thread (no pool).
+    /// calling thread (no worker threads).
     int threads = 0;
     /// Base seed of the run; trial i uses derive_seed(base_seed, i).
     std::uint64_t base_seed = 1;
-    /// Trials per scheduled task (scheduling granularity only — never
+    /// Trials a worker claims at once (scheduling granularity only — never
     /// affects results). 0 = pick automatically.
     int chunk = 0;
   };
@@ -124,7 +125,7 @@ class MonteCarlo {
   using TrialFn = std::function<void(const TrialContext&, TrialRecorder&)>;
 
   /// Run `n_trials` trials and aggregate. Rethrows the first exception any
-  /// trial threw (after all scheduled work drained).
+  /// trial threw, after every other trial has run.
   TrialResult run(int n_trials, const TrialFn& fn) const;
 
   /// The worker count run() will use.

@@ -1,12 +1,16 @@
-// The parallel Monte-Carlo runner: seed derivation, thread pool, and the
-// determinism contract — bit-identical aggregates at any thread count.
+// The parallel Monte-Carlo runner: seed derivation, trial scheduling, and
+// the determinism contract — bit-identical aggregates at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/random.hpp"
 #include "dw1000/pulse.hpp"
@@ -14,7 +18,6 @@
 #include "geom/image_source.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace uwb {
 namespace {
@@ -46,51 +49,6 @@ TEST(DeriveSeed, NeverReturnsTrivialSeeds) {
     EXPECT_NE(derive_seed(0, stream), 0u);
     EXPECT_NE(derive_seed(0, stream), stream);
   }
-}
-
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  runner::ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 500; ++i)
-    pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPool, TasksMaySubmitMoreTasks) {
-  runner::ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 16; ++i)
-    pool.submit([&pool, &counter] {
-      counter.fetch_add(1);
-      pool.submit([&counter] { counter.fetch_add(1); });
-    });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, PropagatesFirstWorkerException) {
-  runner::ThreadPool pool(2);
-  std::atomic<int> survivors{0};
-  for (int i = 0; i < 8; ++i)
-    pool.submit([i, &survivors] {
-      if (i == 3) throw std::runtime_error("trial blew up");
-      survivors.fetch_add(1);
-    });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The failure neither killed the workers nor poisoned the pool.
-  pool.submit([&survivors] { survivors.fetch_add(1); });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(survivors.load(), 8);
-}
-
-TEST(ThreadPool, WaitIdleWithNoWorkReturnsImmediately) {
-  runner::ThreadPool pool(2);
-  pool.wait_idle();
-  pool.wait_idle();
 }
 
 // --- Monte-Carlo determinism contract --------------------------------------
@@ -140,7 +98,7 @@ TEST(MonteCarlo, BitIdenticalAcrossThreadCounts) {
 
 TEST(MonteCarlo, ChunkSizeNeverAffectsResults) {
   const auto reference = run_mc(4, 50);
-  for (const int chunk : {1, 3, 7, 50, 1000})
+  for (const int chunk : {1, 3, 7, 50, 1000, std::numeric_limits<int>::max()})
     expect_bit_identical(reference, run_mc(4, 50, chunk));
 }
 
@@ -194,19 +152,56 @@ TEST(MonteCarlo, CountersAndSummariesAreExact) {
 TEST(MonteCarlo, RethrowsTrialException) {
   runner::MonteCarlo::Config cfg;
   cfg.threads = 4;
+  cfg.chunk = 1;
   const runner::MonteCarlo mc(cfg);
+  std::atomic<int> survivors{0};
   EXPECT_THROW(
       mc.run(20,
-             [](const runner::TrialContext& ctx, runner::TrialRecorder&) {
+             [&survivors](const runner::TrialContext& ctx,
+                          runner::TrialRecorder&) {
                if (ctx.trial_index == 11)
                  throw std::runtime_error("determinism violated");
+               survivors.fetch_add(1);
              }),
       std::runtime_error);
+  // The failure stopped no other trial ...
+  EXPECT_EQ(survivors.load(), 19);
+  // ... and leaves the runner usable for the next run.
+  survivors = 0;
+  EXPECT_NO_THROW(mc.run(
+      20, [&survivors](const runner::TrialContext&, runner::TrialRecorder&) {
+        survivors.fetch_add(1);
+      }));
+  EXPECT_EQ(survivors.load(), 20);
+}
+
+TEST(MonteCarlo, EachWorkerRunsTrialsInAscendingOrder) {
+  // Workers claim trials from one counter, so a run cut short (a deadline
+  // in a closed loop) has completed a prefix of trial indices, not the top.
+  runner::MonteCarlo::Config cfg;
+  cfg.threads = 2;
+  cfg.chunk = 1;
+  const runner::MonteCarlo mc(cfg);
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    std::mutex mutex;
+    std::map<std::thread::id, std::vector<int>> order;
+    mc.run(100, [&](const runner::TrialContext& ctx, runner::TrialRecorder&) {
+      const std::lock_guard lock(mutex);
+      order[std::this_thread::get_id()].push_back(ctx.trial_index);
+    });
+    std::size_t total = 0;
+    for (const auto& [id, indices] : order) {
+      total += indices.size();
+      for (std::size_t i = 1; i < indices.size(); ++i)
+        EXPECT_LT(indices[i - 1], indices[i]) << "repeat " << repeat;
+    }
+    EXPECT_EQ(total, 100u);
+  }
 }
 
 TEST(MonteCarlo, InlineModeMatchesPool) {
-  // threads=1 runs inline on the calling thread (no pool at all); it is the
-  // reference the pooled runs must reproduce.
+  // threads=1 runs inline on the calling thread (no worker threads); it is
+  // the reference the parallel runs must reproduce.
   runner::MonteCarlo::Config cfg;
   cfg.threads = 1;
   EXPECT_EQ(runner::MonteCarlo(cfg).threads(), 1);
