@@ -22,10 +22,10 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
   UWB_EXPECTS(geom::distance(tx, rx) > 0.0);
   ChannelRealization out;
 
-  // Memoised image-source solve: geometry is static across the rounds of a
-  // scenario, so all but the first frame per (tx, rx) pair hit the cache.
-  const auto& specular =
-      geom::compute_paths_cached(room_, tx, rx, params_.max_reflection_order);
+  // Image-source solve, run afresh for every realization: it is cheaper
+  // than keying a memo cache on the whole room.
+  const std::vector<geom::SpecularPath> specular =
+      geom::compute_paths(room_, tx, rx, params_.max_reflection_order);
   UWB_ENSURES(!specular.empty());
   out.los_delay_s = specular.front().length_m / k::c_air;
   out.taps.reserve(specular.size());

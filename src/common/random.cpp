@@ -53,12 +53,6 @@ double Rng::exponential(double mean) {
   return std::exponential_distribution<double>(1.0 / mean)(engine_);
 }
 
-int Rng::poisson(double mean) {
-  UWB_EXPECTS(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  return std::poisson_distribution<int>(mean)(engine_);
-}
-
 bool Rng::chance(double probability) {
   UWB_EXPECTS(probability >= 0.0 && probability <= 1.0);
   return std::bernoulli_distribution(probability)(engine_);

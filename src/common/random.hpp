@@ -39,9 +39,6 @@ class Rng {
   /// Exponential with given mean.
   double exponential(double mean);
 
-  /// Poisson-distributed count with given mean.
-  int poisson(double mean);
-
   /// Bernoulli trial.
   bool chance(double probability);
 

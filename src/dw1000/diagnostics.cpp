@@ -50,8 +50,4 @@ RxDiagnostics analyze_cir(const CVec& cir_taps) {
   return diag;
 }
 
-bool likely_nlos(const RxDiagnostics& diag, double threshold_db) {
-  return diag.fp_to_total_db < threshold_db;
-}
-
 }  // namespace uwb::dw

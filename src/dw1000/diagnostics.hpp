@@ -31,9 +31,4 @@ struct RxDiagnostics {
 /// Compute diagnostics from an estimated CIR.
 RxDiagnostics analyze_cir(const CVec& cir_taps);
 
-/// Simple NLOS indicator: true when the first path carries less than
-/// `threshold_db` of the total received power (default -12 dB, a typical
-/// operating point for DW1000-based NLOS classifiers).
-bool likely_nlos(const RxDiagnostics& diag, double threshold_db = -12.0);
-
 }  // namespace uwb::dw

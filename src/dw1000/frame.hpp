@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "dw1000/clock.hpp"
 
@@ -39,12 +37,6 @@ struct MacFrame {
 
   /// Serialised wire size in bytes (drives the air-time model).
   int payload_bytes() const;
-
-  /// Serialise to bytes (little-endian, 5-byte timestamps).
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Parse; returns nullopt on malformed input.
-  static std::optional<MacFrame> deserialize(const std::vector<std::uint8_t>& bytes);
 
   bool operator==(const MacFrame&) const = default;
 };

@@ -1,10 +1,6 @@
 #include "geom/image_source.hpp"
 
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <string>
-#include <unordered_map>
 
 #include "common/expects.hpp"
 
@@ -99,79 +95,5 @@ std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
   }
   return paths;
 }
-
-namespace {
-
-void append_double(std::string& key, double x) {
-  char bits[sizeof(double)];
-  std::memcpy(bits, &x, sizeof(bits));
-  key.append(bits, sizeof(bits));
-}
-
-void append_size(std::string& key, std::size_t n) {
-  const auto v = static_cast<std::uint32_t>(n);
-  char bits[sizeof(v)];
-  std::memcpy(bits, &v, sizeof(bits));
-  key.append(bits, sizeof(bits));
-}
-
-void append_segment(std::string& key, const Segment& s) {
-  append_double(key, s.a.x);
-  append_double(key, s.a.y);
-  append_double(key, s.b.x);
-  append_double(key, s.b.y);
-}
-
-// Exact byte-wise key over everything compute_paths reads: the key matches
-// iff a fresh computation would return the identical result, so a cache hit
-// can never change behaviour.
-std::string geometry_key(const Room& room, Vec2 tx, Vec2 rx, int max_order) {
-  std::string key;
-  key.reserve(16 + 40 * (room.walls().size() + room.obstacles().size()) + 40);
-  key.push_back(static_cast<char>(max_order));
-  append_size(key, room.walls().size());
-  for (const Wall& w : room.walls()) {
-    append_segment(key, w.segment);
-    append_double(key, w.reflection_loss_db);
-  }
-  append_size(key, room.obstacles().size());
-  for (const Obstacle& o : room.obstacles()) {
-    append_segment(key, o.segment);
-    append_double(key, o.transmission_loss_db);
-  }
-  append_double(key, tx.x);
-  append_double(key, tx.y);
-  append_double(key, rx.x);
-  append_double(key, rx.y);
-  return key;
-}
-
-using PathCache = std::unordered_map<std::string, std::vector<SpecularPath>>;
-
-PathCache& path_cache() {
-  thread_local PathCache cache;
-  return cache;
-}
-
-// Bound on distinct (geometry, endpoints) pairs kept per thread; sweeps with
-// continuously moving nodes would otherwise grow without limit.
-constexpr std::size_t kMaxPathCacheEntries = 4096;
-
-}  // namespace
-
-const std::vector<SpecularPath>& compute_paths_cached(const Room& room,
-                                                      Vec2 tx, Vec2 rx,
-                                                      int max_order) {
-  PathCache& cache = path_cache();
-  std::string key = geometry_key(room, tx, rx, max_order);
-  const auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  if (cache.size() >= kMaxPathCacheEntries) cache.clear();
-  return cache
-      .emplace(std::move(key), compute_paths(room, tx, rx, max_order))
-      .first->second;
-}
-
-void clear_path_cache() { path_cache().clear(); }
 
 }  // namespace uwb::geom

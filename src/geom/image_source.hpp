@@ -31,19 +31,4 @@ struct SpecularPath {
 std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
                                         int max_order = 1);
 
-/// Thread-locally memoised compute_paths(). Geometry is static within a
-/// scenario, so Monte-Carlo harnesses recompute the identical image-source
-/// solution for every frame of every round; this cache keys on the exact
-/// room geometry (wall/obstacle coordinates and losses) plus the endpoints
-/// and order, and returns a reference valid for the calling thread's
-/// lifetime. The cache self-clears when it grows past a few thousand
-/// entries (mobile-tag sweeps), so memory stays bounded. It keeps no
-/// hit/miss statistics: a hit is visible as the same storage coming back.
-const std::vector<SpecularPath>& compute_paths_cached(const Room& room,
-                                                      Vec2 tx, Vec2 rx,
-                                                      int max_order = 1);
-
-/// Drop the calling thread's cached paths (tests / memory pressure).
-void clear_path_cache();
-
 }  // namespace uwb::geom

@@ -9,21 +9,13 @@ namespace uwb::loc {
 PositionFix multilaterate(const std::vector<RangeObservation>& observations,
                           const SolverOptions& options) {
   UWB_EXPECTS(observations.size() >= 3);
-  geom::Vec2 centroid;
-  for (const RangeObservation& o : observations) centroid = centroid + o.anchor;
-  centroid = centroid / static_cast<double>(observations.size());
-  return multilaterate_from(observations, centroid, options);
-}
-
-PositionFix multilaterate_from(const std::vector<RangeObservation>& observations,
-                               geom::Vec2 initial,
-                               const SolverOptions& options) {
-  UWB_EXPECTS(observations.size() >= 3);
   UWB_EXPECTS(options.max_iterations >= 1);
   UWB_EXPECTS(options.tolerance_m > 0.0);
 
   PositionFix fix;
-  fix.position = initial;
+  for (const RangeObservation& o : observations)
+    fix.position = fix.position + o.anchor;
+  fix.position = fix.position / static_cast<double>(observations.size());
   for (int it = 0; it < options.max_iterations; ++it) {
     fix.iterations = it + 1;
     // Gauss-Newton step on f_i(p) = |p - a_i| - d_i with J_i = (p - a_i)/|.|.

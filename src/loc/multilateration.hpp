@@ -32,12 +32,8 @@ struct PositionFix {
 };
 
 /// Least-squares position from >= 3 range observations, starting from the
-/// anchor centroid (or `initial` if provided).
+/// anchor centroid.
 PositionFix multilaterate(const std::vector<RangeObservation>& observations,
                           const SolverOptions& options = {});
-
-PositionFix multilaterate_from(const std::vector<RangeObservation>& observations,
-                               geom::Vec2 initial,
-                               const SolverOptions& options = {});
 
 }  // namespace uwb::loc

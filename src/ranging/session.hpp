@@ -124,8 +124,8 @@ struct ScenarioConfig {
   /// (ablation switch: off shows SS-TWR's raw drift sensitivity).
   bool cfo_correction = true;
   /// Physical per-device antenna delay applied to every node (0 =
-  /// calibrated-out, the default for algorithm experiments). See
-  /// ranging::estimate_antenna_delay for the commissioning procedure.
+  /// calibrated-out, the default for algorithm experiments). Two identical
+  /// uncalibrated devices inflate every SS-TWR distance by c * delay.
   Seconds antenna_delay{};
   /// Fault-injection plan (inert by default; see src/fault/fault.hpp). An
   /// all-zero plan leaves every RNG stream untouched, so results are

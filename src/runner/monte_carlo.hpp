@@ -14,8 +14,8 @@
 // must not touch shared mutable state; everything else (scenario
 // construction, detection, statistics) is per-trial. Expensive immutables
 // are transparently reused across trials on one worker via the thread-local
-// caches of the layers that build them (dw::cached_pulse_template,
-// geom::compute_paths_cached, the search-and-subtract template banks).
+// caches of the layers that build them (dw::cached_pulse_template, the
+// search-and-subtract template banks).
 // Per-worker obs state is the worker's obs::MetricsRegistry shard.
 #pragma once
 

@@ -150,15 +150,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 4.0, 0.2);
 }
 
-TEST(RngTest, PoissonMean) {
-  Rng rng(7);
-  double sum = 0.0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(3.5);
-  EXPECT_NEAR(sum / n, 3.5, 0.15);
-  EXPECT_EQ(rng.poisson(0.0), 0);
-}
-
 TEST(RngTest, ChanceExtremes) {
   Rng rng(8);
   for (int i = 0; i < 100; ++i) {

@@ -31,38 +31,6 @@ TEST(SignalTest, NormalizeEnergy) {
   EXPECT_EQ(normalize_energy(z), z);
 }
 
-TEST(SignalTest, NormalizePeak) {
-  CVec x{{0.5, 0.0}, {0.0, -4.0}, {1.0, 0.0}};
-  const CVec y = normalize_peak(x);
-  double peak = 0.0;
-  for (const auto& v : y) peak = std::max(peak, std::abs(v));
-  EXPECT_NEAR(peak, 1.0, 1e-12);
-}
-
-TEST(SignalTest, AddScaledShiftedInRange) {
-  CVec y(6, Complex{});
-  const CVec x{{1.0, 0.0}, {2.0, 0.0}};
-  add_scaled_shifted(y, x, Complex(2.0, 0.0), 3);
-  EXPECT_DOUBLE_EQ(y[3].real(), 2.0);
-  EXPECT_DOUBLE_EQ(y[4].real(), 4.0);
-  EXPECT_DOUBLE_EQ(y[5].real(), 0.0);
-}
-
-TEST(SignalTest, AddScaledShiftedClipsBothEnds) {
-  CVec y(3, Complex{});
-  const CVec x{{1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}};
-  add_scaled_shifted(y, x, Complex(1.0, 0.0), -1);  // x[1], x[2] land on y[0], y[1]
-  EXPECT_DOUBLE_EQ(y[0].real(), 1.0);
-  EXPECT_DOUBLE_EQ(y[1].real(), 1.0);
-  EXPECT_DOUBLE_EQ(y[2].real(), 0.0);
-  add_scaled_shifted(y, x, Complex(1.0, 0.0), 2);  // only x[0] fits
-  EXPECT_DOUBLE_EQ(y[2].real(), 1.0);
-  // Entirely out of range: no-op.
-  add_scaled_shifted(y, x, Complex(1.0, 0.0), 10);
-  add_scaled_shifted(y, x, Complex(1.0, 0.0), -10);
-  EXPECT_DOUBLE_EQ(y[0].real(), 1.0);
-}
-
 TEST(SignalTest, SampleAtInterpolates) {
   const CVec x{{0.0, 0.0}, {2.0, 0.0}, {4.0, 0.0}};
   EXPECT_DOUBLE_EQ(sample_at(x, 0.5).real(), 1.0);
@@ -82,7 +50,7 @@ TEST(MatchedFilterTest, PeakAtTemplateStart) {
   // Signal = template placed at index 10; correlation must peak exactly there.
   const CVec tmpl{{1.0, 0.0}, {2.0, 0.0}, {1.0, 0.0}};
   CVec r(64, Complex{});
-  add_scaled_shifted(r, tmpl, Complex(1.0, 0.0), 10);
+  for (std::size_t i = 0; i < tmpl.size(); ++i) r[10 + i] += tmpl[i];
   MatchedFilter mf(tmpl);
   const CVec y = mf.apply(r);
   ASSERT_EQ(y.size(), r.size());
@@ -95,7 +63,7 @@ TEST(MatchedFilterTest, ComplexAmplitudeRecovered) {
   const CVec tmpl{{1.0, 0.0}, {2.0, 0.0}, {1.0, 0.0}};
   const Complex amp{0.3, -0.7};
   CVec r(32, Complex{});
-  add_scaled_shifted(r, tmpl, amp, 5);
+  for (std::size_t i = 0; i < tmpl.size(); ++i) r[5 + i] += amp * tmpl[i];
   MatchedFilter mf(tmpl);
   const CVec y = mf.apply(r);
   // y[peak] / ||s|| = amplitude.

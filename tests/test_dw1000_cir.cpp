@@ -1,14 +1,17 @@
 // Unit tests: CIR synthesis, RX timestamping model, first-path detection,
-// and energy accounting.
+// energy accounting, and CIR persistence.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
 #include "dsp/peaks.hpp"
 #include "dsp/signal.hpp"
 #include "dw1000/cir.hpp"
+#include "dw1000/cir_io.hpp"
 #include "dw1000/energy.hpp"
 #include "dw1000/pulse.hpp"
 #include "dw1000/timestamping.hpp"
@@ -230,6 +233,37 @@ TEST(EnergyTest, CustomParams) {
   EnergyMeter meter(params);
   meter.add_tx(2.0);
   EXPECT_NEAR(meter.energy_j(), 0.6, 1e-12);
+}
+
+TEST(CirIoTest, SaveLoadRoundTrip) {
+  CirEstimate cir;
+  cir.ts_s = k::cir_ts_s;
+  cir.first_path_index = 64.25;
+  Rng rng(1);
+  cir.taps.resize(128);
+  for (auto& t : cir.taps) t = rng.complex_normal(0.3);
+  const std::string path = "/tmp/uwb_cir_io_test.csv";
+  ASSERT_TRUE(save_cir_csv(cir, path));
+  const auto loaded = load_cir_csv(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_DOUBLE_EQ(loaded->ts_s, cir.ts_s);
+  EXPECT_DOUBLE_EQ(loaded->first_path_index, 64.25);
+  ASSERT_EQ(loaded->taps.size(), cir.taps.size());
+  for (std::size_t i = 0; i < cir.taps.size(); ++i)
+    EXPECT_LT(std::abs(loaded->taps[i] - cir.taps[i]), 1e-9);
+  std::remove(path.c_str());
+}
+
+TEST(CirIoTest, LoadRejectsGarbage) {
+  const std::string path = "/tmp/uwb_cir_io_bad.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("not a cir file\n", f);
+    std::fclose(f);
+  }
+  EXPECT_FALSE(load_cir_csv(path).has_value());
+  EXPECT_FALSE(load_cir_csv("/nonexistent/nowhere.csv").has_value());
+  std::remove(path.c_str());
 }
 
 }  // namespace

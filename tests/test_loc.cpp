@@ -50,15 +50,6 @@ TEST(MultilaterationTest, NoisyRangesStayClose) {
   EXPECT_GT(fix.residual_rms_m, 0.0);
 }
 
-TEST(MultilaterationTest, CustomInitialGuess) {
-  const std::vector<geom::Vec2> anchors{{0.0, 0.0}, {10.0, 0.0}, {5.0, 9.0}};
-  const geom::Vec2 truth{7.0, 2.0};
-  const PositionFix fix =
-      multilaterate_from(perfect_ranges(anchors, truth), {6.0, 3.0});
-  EXPECT_TRUE(fix.converged);
-  EXPECT_NEAR(fix.position.x, truth.x, 1e-6);
-}
-
 TEST(MultilaterationTest, DegenerateCollinearGeometryDoesNotConverge) {
   // Collinear anchors leave a mirror ambiguity; the solver must not claim a
   // wrong high-confidence answer from the centroid start (which sits on the
