@@ -53,15 +53,6 @@ void BM_FftPow2_1024(benchmark::State& state) {
 }
 BENCHMARK(BM_FftPow2_1024);
 
-void BM_FftBluestein_1016(benchmark::State& state) {
-  const CVec x = random_signal(k::cir_len_prf64, 2);
-  for (auto _ : state) {
-    CVec y = dsp::fft(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_FftBluestein_1016);
-
 void BM_UpsampleCirBy8(benchmark::State& state) {
   const CVec x = random_signal(k::cir_len_prf64, 3);
   for (auto _ : state) {
@@ -84,10 +75,9 @@ BENCHMARK(BM_MatchedFilterUpsampledCir);
 // --- unplanned references (the pre-plan implementations) ----------------
 //
 // Local copies of the algorithms before the FftPlan/shared-spectrum work:
-// twiddles recomputed with std::polar inside the butterfly loop, Bluestein
-// rebuilding its chirp and kernel per call, matched filtering running its
-// own forward transform per template. Kept here as the denominator of the
-// speedup the plan cache buys (DESIGN.md Sect. 8).
+// twiddles recomputed with std::polar inside the butterfly loop, matched
+// filtering running its own forward transform per template. Kept here as
+// the denominator of the speedup the plan cache buys (DESIGN.md Sect. 8).
 
 void reference_fft_pow2(CVec& x, bool inverse) {
   const std::size_t n = x.size();
@@ -112,31 +102,6 @@ void reference_fft_pow2(CVec& x, bool inverse) {
   }
 }
 
-CVec reference_bluestein(const CVec& x) {
-  const std::size_t n = x.size();
-  const std::size_t m = dsp::next_pow2(2 * n - 1);
-  CVec a(m, Complex{}), b(m, Complex{});
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ang = std::numbers::pi * static_cast<double>(k) *
-                       static_cast<double>(k) / static_cast<double>(n);
-    const Complex w = std::polar(1.0, ang);
-    a[k] = x[k] * std::conj(w);
-    b[k] = w;
-    if (k != 0) b[m - k] = w;
-  }
-  reference_fft_pow2(a, false);
-  reference_fft_pow2(b, false);
-  for (std::size_t i = 0; i < m; ++i) a[i] *= b[i];
-  reference_fft_pow2(a, true);
-  CVec y(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ang = std::numbers::pi * static_cast<double>(k) *
-                       static_cast<double>(k) / static_cast<double>(n);
-    y[k] = a[k] * std::conj(std::polar(1.0, ang)) / static_cast<double>(m);
-  }
-  return y;
-}
-
 void BM_Reference_FftPow2_1024(benchmark::State& state) {
   CVec x = random_signal(1024, 1);
   for (auto _ : state) {
@@ -146,15 +111,6 @@ void BM_Reference_FftPow2_1024(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Reference_FftPow2_1024);
-
-void BM_Reference_FftBluestein_1016(benchmark::State& state) {
-  const CVec x = random_signal(k::cir_len_prf64, 2);
-  for (auto _ : state) {
-    CVec y = reference_bluestein(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Reference_FftBluestein_1016);
 
 void BM_Reference_MatchedFilterUpsampledCir(benchmark::State& state) {
   // FFT correlation with per-call forward transforms of both operands and
@@ -243,20 +199,21 @@ bool set_bench_level(benchmark::State& state) {
   return true;
 }
 
-void BM_Simd_CmulConj_8192(benchmark::State& state) {
+void BM_Simd_Cmul_8192(benchmark::State& state) {
+  // The pointwise spectrum product bank_correlate runs per template.
   BenchLevelGuard guard;
   if (!set_bench_level(state)) return;
   const CVec a = random_signal(8192, 21);
   const CVec b = random_signal(8192, 22);
   CVec out(8192);
   for (auto _ : state) {
-    simd::cmul_conj(reinterpret_cast<const double*>(a.data()),
-                    reinterpret_cast<const double*>(b.data()),
-                    reinterpret_cast<double*>(out.data()), out.size());
+    simd::cmul(reinterpret_cast<const double*>(a.data()),
+               reinterpret_cast<const double*>(b.data()),
+               reinterpret_cast<double*>(out.data()), out.size());
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_Simd_CmulConj_8192)->Arg(0)->Arg(2);
+BENCHMARK(BM_Simd_Cmul_8192)->Arg(0)->Arg(2);
 
 void BM_Simd_FftPow2_8192(benchmark::State& state) {
   // The transform length of the fast detect path for a 1016-tap CIR
@@ -272,17 +229,6 @@ void BM_Simd_FftPow2_8192(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Simd_FftPow2_8192)->Arg(0)->Arg(2);
-
-void BM_Simd_FftBluestein_1016(benchmark::State& state) {
-  BenchLevelGuard guard;
-  if (!set_bench_level(state)) return;
-  const CVec x = random_signal(k::cir_len_prf64, 24);
-  for (auto _ : state) {
-    CVec y = dsp::fft(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Simd_FftBluestein_1016)->Arg(0)->Arg(2);
 
 void BM_Simd_BankCorrelate(benchmark::State& state) {
   // The bank_correlate span body: one pointwise multiply + inverse

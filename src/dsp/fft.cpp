@@ -1,6 +1,7 @@
 #include "dsp/fft.hpp"
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <unordered_map>
 #include <utility>
@@ -31,59 +32,33 @@ inline double* as_doubles(Complex* x) { return reinterpret_cast<double*>(x); }
 
 }  // namespace
 
-FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
-  UWB_EXPECTS(n >= 1);
-  if (pow2_) {
-    rev_.resize(n);
-    rev_[0] = 0;
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-      std::size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      rev_[i] = static_cast<std::uint32_t>(j);
-    }
-    // Contiguous forward twiddles per stage: stage `len` holds
-    // e^{-2*pi*i*j/len} for j < len/2 at offset len/2 - 1 (n-1 total).
-    if (n >= 2) {
-      tw_.resize(n - 1);
-      for (std::size_t len = 2; len <= n; len <<= 1) {
-        Complex* w = tw_.data() + (len / 2 - 1);
-        const double step = -2.0 * std::numbers::pi / static_cast<double>(len);
-        for (std::size_t j = 0; j < len / 2; ++j) {
-          const double ang = step * static_cast<double>(j);
-          w[j] = Complex(std::cos(ang), std::sin(ang));
-        }
+FftPlan::FftPlan(std::size_t n) : n_(n) {
+  UWB_EXPECTS(is_pow2(n));
+  rev_.resize(n);
+  rev_[0] = 0;
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    rev_[i] = static_cast<std::uint32_t>(j);
+  }
+  // Contiguous forward twiddles per stage: stage `len` holds
+  // e^{-2*pi*i*j/len} for j < len/2 at offset len/2 - 1 (n-1 total).
+  if (n >= 2) {
+    tw_.resize(n - 1);
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      Complex* w = tw_.data() + (len / 2 - 1);
+      const double step = -2.0 * std::numbers::pi / static_cast<double>(len);
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        const double ang = step * static_cast<double>(j);
+        w[j] = Complex(std::cos(ang), std::sin(ang));
       }
     }
-    return;
   }
-  // Bluestein: chirp w[k] = e^{+i*pi*k^2/n} (k^2 mod 2n avoids precision
-  // loss for large k), kernel b[k] = b[m-k] = chirp[k] transformed once per
-  // direction.
-  chirp_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint64_t k2 = (static_cast<std::uint64_t>(k) * k) % (2 * n);
-    const double ang =
-        std::numbers::pi * static_cast<double>(k2) / static_cast<double>(n);
-    chirp_[k] = Complex(std::cos(ang), std::sin(ang));
-  }
-  m_ = next_pow2(2 * n - 1);
-  sub_ = std::make_unique<FftPlan>(m_);
-  const auto make_kernel = [&](bool conj_chirp) {
-    CVec b(m_, Complex{});
-    b[0] = conj_chirp ? std::conj(chirp_[0]) : chirp_[0];
-    for (std::size_t k = 1; k < n; ++k)
-      b[k] = b[m_ - k] = conj_chirp ? std::conj(chirp_[k]) : chirp_[k];
-    sub_->transform_pow2(b.data(), false);
-    return b;
-  };
-  kernel_fwd_ = make_kernel(false);
-  kernel_inv_ = make_kernel(true);
-  scratch_.resize(m_);
 }
 
 const Complex* FftPlan::twiddle_half() const {
-  UWB_EXPECTS(pow2_ && n_ >= 2);
+  UWB_EXPECTS(n_ >= 2);
   return tw_.data() + (n_ / 2 - 1);
 }
 
@@ -126,52 +101,10 @@ void FftPlan::run_pow2(Complex* x) const {
 }
 
 void FftPlan::transform_pow2(Complex* x, bool inverse) const {
-  UWB_EXPECTS(pow2_);
   if (inverse)
     run_pow2<true>(x);
   else
     run_pow2<false>(x);
-}
-
-template <bool Inverse>
-void FftPlan::run_bluestein(const Complex* x, Complex* y) const {
-  const std::size_t n = n_, m = m_;
-  Complex* a = scratch_.data();
-  const double* w = reinterpret_cast<const double*>(chirp_.data());
-  double* ad = as_doubles(a);
-  // a[k] = x[k] * conj(chirp[k]) forward, x[k] * chirp[k] inverse.
-  const double* xd = reinterpret_cast<const double*>(x);
-  if (Inverse)
-    simd::cmul(xd, w, ad, n);
-  else
-    simd::cmul_conj(xd, w, ad, n);
-  std::fill(a + n, a + m, Complex{});
-  sub_->transform_pow2(a, false);
-  const CVec& kernel = Inverse ? kernel_inv_ : kernel_fwd_;
-  const double* kd = reinterpret_cast<const double*>(kernel.data());
-  simd::cmul(ad, kd, ad, m);
-  sub_->transform_pow2(a, true);
-  const double scale = 1.0 / static_cast<double>(m);
-  double* yd = as_doubles(y);
-  // y[k] = a[k] / m * conj(chirp[k]) forward, * chirp[k] inverse (the same
-  // multiplier as on the way in).
-  if (Inverse)
-    simd::cmul_scaled(ad, w, scale, yd, n);
-  else
-    simd::cmul_conj_scaled(ad, w, scale, yd, n);
-}
-
-void FftPlan::transform(const Complex* x, Complex* y, bool inverse) const {
-  if (pow2_) {
-    if (y != x) std::copy(x, x + n_, y);
-    transform_pow2(y, inverse);
-    return;
-  }
-  UWB_EXPECTS(x != y);
-  if (inverse)
-    run_bluestein<true>(x, y);
-  else
-    run_bluestein<false>(x, y);
 }
 
 namespace {
@@ -198,7 +131,7 @@ PlanCache& plan_cache() {
 }  // namespace
 
 const FftPlan& plan_for(std::size_t n) {
-  UWB_EXPECTS(n >= 1);
+  UWB_EXPECTS(is_pow2(n));
   PlanCache& cache = plan_cache();
   if (cache.last_n == n) {
     cache.hits.add();
@@ -227,7 +160,7 @@ void clear_fft_plan_cache() {
 }
 
 CVec& fft_scratch(int slot, std::size_t n) {
-  constexpr int kSlots = 4;
+  constexpr int kSlots = 3;
   UWB_EXPECTS(slot >= 0 && slot < kSlots);
   thread_local CVec buffers[kSlots];
   CVec& buf = buffers[slot];
@@ -235,24 +168,7 @@ CVec& fft_scratch(int slot, std::size_t n) {
   return buf;
 }
 
-CVec fft(const CVec& x) {
-  UWB_EXPECTS(!x.empty());
-  CVec y(x.size());
-  plan_for(x.size()).transform(x.data(), y.data(), false);
-  return y;
-}
-
-CVec ifft(const CVec& x) {
-  UWB_EXPECTS(!x.empty());
-  CVec y(x.size());
-  plan_for(x.size()).transform(x.data(), y.data(), true);
-  const double scale = 1.0 / static_cast<double>(x.size());
-  simd::scale(reinterpret_cast<double*>(y.data()), scale, y.size());
-  return y;
-}
-
 void fft_pow2_inplace(CVec& x, bool inverse) {
-  UWB_EXPECTS(is_pow2(x.size()));
   plan_for(x.size()).transform_pow2(x.data(), inverse);
 }
 

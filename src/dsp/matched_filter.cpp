@@ -46,7 +46,7 @@ void MatchedFilter::apply_spectrum(const Complex* spectrum, std::size_t padded,
                                    std::size_t out_len, CVec& out) const {
   UWB_EXPECTS(out_len <= padded);
   const CVec& tspec = template_spectrum(padded);
-  CVec& work = fft_scratch(2, padded);
+  CVec& work = fft_scratch(1, padded);
   const double* a = reinterpret_cast<const double*>(spectrum);
   const double* b = reinterpret_cast<const double*>(tspec.data());
   double* w = reinterpret_cast<double*>(work.data());
@@ -65,7 +65,7 @@ CVec MatchedFilter::apply(const CVec& r) const {
   if (n * np <= 16384) return correlate_direct(r, tmpl_);
 
   const std::size_t padded = next_pow2(n + np - 1);
-  CVec& x = fft_scratch(3, padded);
+  CVec& x = fft_scratch(2, padded);
   std::copy(r.begin(), r.end(), x.begin());
   std::fill(x.begin() + static_cast<std::ptrdiff_t>(n), x.end(), Complex{});
   plan_for(padded).transform_pow2(x.data(), false);

@@ -27,24 +27,27 @@ void upsample_spectrum(const Complex* spec, std::size_t n, int factor,
 
 CVec upsample_fft(const CVec& x, int factor) {
   UWB_EXPECTS(!x.empty());
-  UWB_EXPECTS(factor >= 1);
-  if (factor == 1) return x;
-  const std::size_t n = x.size();
+  UWB_EXPECTS(factor >= 1 && is_pow2(static_cast<std::size_t>(factor)));
+  // Zero-pad to a power of two before FFT interpolation, because the
+  // radix-2 transform takes no other length (the 1016-tap CIR becomes 1024
+  // taps). The padding splices zeros at the window end only, leaving
+  // interior peaks untouched.
+  const std::size_t n = next_pow2(x.size());
+  if (factor == 1) {
+    CVec y(n, Complex{});
+    std::copy(x.begin(), x.end(), y.begin());
+    return y;
+  }
   const std::size_t m = n * static_cast<std::size_t>(factor);
   CVec& spec = fft_scratch(0, n);
-  plan_for(n).transform(x.data(), spec.data(), false);
-  const FftPlan& pm = plan_for(m);
+  std::fill(std::copy(x.begin(), x.end(), spec.begin()), spec.end(),
+            Complex{});
+  plan_for(n).transform_pow2(spec.data(), false);
   CVec y(m);
+  upsample_spectrum(spec.data(), n, factor, y.data());
+  plan_for(m).transform_pow2(y.data(), true);
   const double scale =
       static_cast<double>(factor) / static_cast<double>(m);
-  if (pm.radix2()) {
-    upsample_spectrum(spec.data(), n, factor, y.data());
-    pm.transform_pow2(y.data(), true);
-  } else {
-    CVec& padded = fft_scratch(1, m);
-    upsample_spectrum(spec.data(), n, factor, padded.data());
-    pm.transform(padded.data(), y.data(), true);
-  }
   simd::scale(reinterpret_cast<double*>(y.data()), scale, m);
   return y;
 }

@@ -10,9 +10,10 @@
 
 namespace uwb::dsp {
 
-/// FFT interpolation by an integer factor. Returns a signal of length
-/// `x.size() * factor`; sample i of the output corresponds to time
-/// i * (Ts / factor). factor >= 1.
+/// FFT interpolation by a power-of-two factor of `x` zero-padded to
+/// next_pow2(x.size()) samples. Returns next_pow2(x.size()) * factor
+/// samples; sample i of the output corresponds to time i * (Ts / factor),
+/// so the first x.size() * factor samples cover the input window.
 CVec upsample_fft(const CVec& x, int factor);
 
 /// Frequency-domain zero-stuffing: scatter the length-n spectrum `spec`

@@ -28,7 +28,8 @@ struct DetectedResponse {
 };
 
 struct DetectorConfig {
-  /// FFT upsampling factor applied to the CIR (Sect. IV step 1).
+  /// FFT upsampling factor applied to the CIR (Sect. IV step 1): a power
+  /// of two in [1, 64], since the radix-2 FFT is the only transform.
   int upsample_factor = 8;
   /// Pulse template bank: TC_PGDELAY values (Sect. V). One entry = plain
   /// detection; multiple entries = joint detection + shape classification.
@@ -39,11 +40,12 @@ struct DetectorConfig {
   /// amplitude-independence requirement (open challenge IV) means this must
   /// stay small; it only rejects pure noise, never weak responders.
   double relative_stop_fraction = 0.02;
-  /// Threshold-baseline only: the scan threshold as a fraction of the
-  /// strongest CIR tap (combined with the noise floor). This is precisely
-  /// the amplitude dependence that makes the baseline fragile (challenge
-  /// IV); search-and-subtract ignores it.
-  double baseline_relative_threshold = 0.3;
 };
+
+namespace detail {
+/// Precondition check shared by the detectors' constructors and the
+/// sessions' validate_config (throws PreconditionError).
+void validate_detector_config(const DetectorConfig& cfg);
+}  // namespace detail
 
 }  // namespace uwb::ranging

@@ -13,6 +13,7 @@ Status NetworkRangingSession::validate_config(const NetworkConfig& config) {
   };
   try {
     config.ranging.validate();
+    detail::validate_detector_config(detector_config_for(config.ranging));
   } catch (const PreconditionError& e) {
     return invalid(e.what());
   }

@@ -23,21 +23,6 @@
 
 namespace uwb::ranging {
 
-namespace detail {
-void validate_detector_config(const DetectorConfig& cfg);
-
-CVec upsample_padded(const CVec& cir_taps, int factor) {
-  // Zero-pad to a power of two before FFT interpolation: the 1016-tap CIR
-  // then takes the radix-2 path throughout instead of Bluestein, which is
-  // several times faster in the Monte-Carlo harnesses. The padding splices
-  // zeros at the window end only, leaving interior peaks untouched.
-  CVec padded(dsp::next_pow2(cir_taps.size()), Complex{});
-  std::copy(cir_taps.begin(), cir_taps.end(), padded.begin());
-  return dsp::upsample_fft(padded, factor);
-}
-
-}  // namespace detail
-
 struct SearchSubtractDetector::TemplateBank {
   double ts_up = 0.0;
   std::size_t max_len = 0;  // longest template in the bank
@@ -169,7 +154,9 @@ CVec SearchSubtractDetector::matched_filter_output(const CVec& cir_taps,
               shape_index < static_cast<int>(config_.shape_registers.size()));
   const TemplateBank& bank = bank_for(ts_s);
   const CVec up = dsp::upsample_fft(cir_taps, config_.upsample_factor);
-  return bank.entries[static_cast<std::size_t>(shape_index)].filter.apply(up);
+  CVec y = bank.entries[static_cast<std::size_t>(shape_index)].filter.apply(up);
+  y.resize(cir_taps.size() * static_cast<std::size_t>(config_.upsample_factor));
+  return y;
 }
 
 std::vector<DetectedResponse> SearchSubtractDetector::detect(
@@ -228,7 +215,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     const CVec& cir_taps, const TemplateBank& bank, int max_responses,
     DetectionTrace* trace) const {
   const double ts_up = bank.ts_up;
-  CVec residual = detail::upsample_padded(cir_taps, config_.upsample_factor);
+  CVec residual = dsp::upsample_fft(cir_taps, config_.upsample_factor);
 
   std::vector<DetectedResponse> found;
   found.reserve(static_cast<std::size_t>(max_responses));

@@ -58,7 +58,9 @@ class SearchSubtractDetector {
                                    int max_responses) const;
 
   /// Matched-filter output of template `shape_index` over the (upsampled)
-  /// CIR — exposed for visualisation benches (paper Fig. 4b/6b).
+  /// CIR — exposed for visualisation benches (paper Fig. 4b/6b). Returns
+  /// cir_taps.size() * upsample_factor samples: the CIR window's share of
+  /// the zero-padded upsampled grid.
   CVec matched_filter_output(const CVec& cir_taps, double ts_s,
                              int shape_index) const;
 

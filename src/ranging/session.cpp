@@ -47,6 +47,7 @@ Status ConcurrentRangingScenario::validate_config(const ScenarioConfig& config) 
   };
   try {
     config.ranging.validate();
+    detail::validate_detector_config(detector_config_for(config.ranging));
     config.resilience.validate();
     config.fault.validate();
     config.attack.validate();

@@ -5,15 +5,19 @@
 
 #include "common/expects.hpp"
 #include "dsp/peaks.hpp"
+#include "dsp/resample.hpp"
 #include "dsp/signal.hpp"
 #include "dw1000/pulse.hpp"
 
 namespace uwb::ranging {
 
-namespace detail {
-void validate_detector_config(const DetectorConfig& cfg);
-CVec upsample_padded(const CVec& cir_taps, int factor);  // search_subtract.cpp
-}
+namespace {
+// The scan threshold as a fraction of the strongest CIR tap (combined with
+// the noise floor). This is precisely the amplitude dependence that makes
+// the baseline fragile (challenge IV); search-and-subtract has no such
+// threshold.
+constexpr double kBaselineRelativeThreshold = 0.3;
+}  // namespace
 
 ThresholdDetector::ThresholdDetector(DetectorConfig config)
     : config_(std::move(config)) {
@@ -26,13 +30,13 @@ std::vector<DetectedResponse> ThresholdDetector::detect(const CVec& cir_taps,
   UWB_EXPECTS(!cir_taps.empty());
   UWB_EXPECTS(max_responses >= 1);
   const double ts_up = ts_s / config_.upsample_factor;
-  const CVec up = detail::upsample_padded(cir_taps, config_.upsample_factor);
+  const CVec up = dsp::upsample_fft(cir_taps, config_.upsample_factor);
   const RVec mag = dsp::magnitude(up);
   const double noise = dsp::noise_sigma_estimate(up);
   const double peak = *std::max_element(mag.begin(), mag.end());
   const double threshold =
       std::max(config_.noise_threshold_factor * noise,
-               config_.baseline_relative_threshold * peak);
+               kBaselineRelativeThreshold * peak);
 
   // Np: the visible pulse duration in upsampled samples. Falsi et al. scan
   // the max over one pulse duration after a crossing; using the main lobe

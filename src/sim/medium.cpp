@@ -31,12 +31,10 @@ Medium::Medium(Simulator& simulator, channel::ChannelModel model,
   // itself is not kept, so no shared mutable stream survives construction.
   channel_stream_base_ = rng.engine()();
   interference_radius_m_ =
-      params_.interference_radius_m > 0.0
-          ? params_.interference_radius_m
-          : model_
-                .max_detectable_range(params_.detection_threshold_amp,
-                                      params_.range_margin_db)
-                .value();
+      model_
+          .max_detectable_range(params_.detection_threshold_amp,
+                                params_.range_margin_db)
+          .value();
 }
 
 bool Medium::culling_active() const {

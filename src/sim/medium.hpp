@@ -75,10 +75,8 @@ struct MediumParams {
   /// their channels. Bit-identical to the unculled medium for every
   /// delivered frame (the skipped receivers could never detect a tap).
   bool culling_enabled = true;
-  /// Interference radius override [m]. <= 0 derives the radius from the
-  /// channel model via ChannelModel::max_detectable_range.
-  double interference_radius_m = 0.0;
-  /// Fading headroom used when deriving the radius [dB]: covers the
+  /// Fading headroom used when deriving the interference radius from the
+  /// channel model (ChannelModel::max_detectable_range) [dB]: covers the
   /// unbounded specular fading draw (16 dB = 16 sigma at the default
   /// 1 dB fading).
   double range_margin_db = 16.0;
@@ -147,8 +145,8 @@ class Medium {
   }
   fault::AttackInjector* attack_injector() const { return attack_; }
 
-  /// Resolved interference radius [m]; +infinity when the channel model
-  /// admits no finite bound.
+  /// Interference radius derived from the channel model [m]; +infinity
+  /// when the channel model admits no finite bound.
   double interference_radius_m() const { return interference_radius_m_; }
 
   /// True when transmissions actually go through the spatial index

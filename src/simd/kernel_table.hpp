@@ -1,7 +1,9 @@
 // Internal dispatch table shared by the per-level kernel translation units.
-// Each level fills one KernelTable with its implementations; simd.cpp picks
-// the table for the active level. Not installed into the public API — only
-// simd.cpp and the kernels_*.cpp files include this.
+// Each level fills one KernelTable with its implementations — one slot per
+// kernel of simd.hpp; the conjugated dot product both correlations reduce
+// with is a file-local helper of each level, not a slot — and simd.cpp
+// picks the table for the active level. Not installed into the public API:
+// only simd.cpp and the kernels_*.cpp files include this.
 #pragma once
 
 #include <cstddef>
@@ -10,18 +12,11 @@ namespace uwb::simd::detail {
 
 struct KernelTable {
   void (*cmul)(const double*, const double*, double*, std::size_t);
-  void (*cmul_conj)(const double*, const double*, double*, std::size_t);
-  void (*cmul_scaled)(const double*, const double*, double, double*,
-                      std::size_t);
-  void (*cmul_conj_scaled)(const double*, const double*, double, double*,
-                           std::size_t);
   void (*scale)(double*, double, std::size_t);
   void (*copy_scaled)(const double*, double, double*, std::size_t);
   void (*butterfly_pairs)(double*, std::size_t);
   void (*fft_stage)(double*, const double*, std::size_t, std::size_t, bool);
   std::size_t (*argmax_norm)(const double*, std::size_t);
-  void (*cdot_conj)(const double*, const double*, std::size_t, double*,
-                    double*);
   void (*corr_direct)(const double*, const double*, double*, std::size_t,
                       std::size_t);
   void (*corr_window_update)(double*, const double*, const double*,

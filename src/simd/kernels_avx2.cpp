@@ -55,43 +55,14 @@ inline __m128d cprod1_conj(__m128d a, __m128d b) {
   return _mm_add_pd(t1, _mm_xor_pd(t2, _mm_set_pd(-0.0, 0.0)));
 }
 
-template <bool Conj, bool Scaled>
-void cmul_impl(const double* a, const double* b, double s, double* out,
-               std::size_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    __m256d av = _mm256_loadu_pd(a + 2 * k);
-    if constexpr (Scaled) av = _mm256_mul_pd(av, sv);
-    const __m256d bv = _mm256_loadu_pd(b + 2 * k);
-    _mm256_storeu_pd(out + 2 * k,
-                     Conj ? cprod2_conj(av, bv) : cprod2(av, bv));
-  }
-  if (k < n) {
-    __m128d av = _mm_loadu_pd(a + 2 * k);
-    if constexpr (Scaled) av = _mm_mul_pd(av, _mm_set1_pd(s));
-    const __m128d bv = _mm_loadu_pd(b + 2 * k);
-    _mm_storeu_pd(out + 2 * k, Conj ? cprod1_conj(av, bv) : cprod1(av, bv));
-  }
-}
-
 void avx2_cmul(const double* a, const double* b, double* out, std::size_t n) {
-  cmul_impl<false, false>(a, b, 1.0, out, n);
-}
-
-void avx2_cmul_conj(const double* a, const double* b, double* out,
-                    std::size_t n) {
-  cmul_impl<true, false>(a, b, 1.0, out, n);
-}
-
-void avx2_cmul_scaled(const double* a, const double* b, double s, double* out,
-                      std::size_t n) {
-  cmul_impl<false, true>(a, b, s, out, n);
-}
-
-void avx2_cmul_conj_scaled(const double* a, const double* b, double s,
-                           double* out, std::size_t n) {
-  cmul_impl<true, true>(a, b, s, out, n);
+  std::size_t k = 0;
+  for (; k + 2 <= n; k += 2)
+    _mm256_storeu_pd(out + 2 * k, cprod2(_mm256_loadu_pd(a + 2 * k),
+                                         _mm256_loadu_pd(b + 2 * k)));
+  if (k < n)
+    _mm_storeu_pd(out + 2 * k,
+                  cprod1(_mm_loadu_pd(a + 2 * k), _mm_loadu_pd(b + 2 * k)));
 }
 
 void avx2_scale(double* x, double s, std::size_t n) {
@@ -242,12 +213,10 @@ void avx2_corr_window_update(double* y, const double* d, const double* s,
 
 const KernelTable* avx2_table_or_null() {
   static constexpr KernelTable table{
-      avx2_cmul,         avx2_cmul_conj,
-      avx2_cmul_scaled,  avx2_cmul_conj_scaled,
-      avx2_scale,        avx2_copy_scaled,
-      avx2_butterfly_pairs, avx2_fft_stage,
-      avx2_argmax_norm,  avx2_cdot_conj,
-      avx2_corr_direct,  avx2_corr_window_update,
+      avx2_cmul,            avx2_scale,
+      avx2_copy_scaled,     avx2_butterfly_pairs,
+      avx2_fft_stage,       avx2_argmax_norm,
+      avx2_corr_direct,     avx2_corr_window_update,
   };
   return &table;
 }

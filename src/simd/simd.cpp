@@ -26,36 +26,6 @@ void scalar_cmul(const double* a, const double* b, double* out,
   }
 }
 
-void scalar_cmul_conj(const double* a, const double* b, double* out,
-                      std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ar = a[2 * k], ai = a[2 * k + 1];
-    const double br = b[2 * k], bi = b[2 * k + 1];
-    out[2 * k] = ar * br + ai * bi;
-    out[2 * k + 1] = ai * br - ar * bi;
-  }
-}
-
-void scalar_cmul_scaled(const double* a, const double* b, double s,
-                        double* out, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ar = a[2 * k] * s, ai = a[2 * k + 1] * s;
-    const double br = b[2 * k], bi = b[2 * k + 1];
-    out[2 * k] = ar * br - ai * bi;
-    out[2 * k + 1] = ai * br + ar * bi;
-  }
-}
-
-void scalar_cmul_conj_scaled(const double* a, const double* b, double s,
-                             double* out, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ar = a[2 * k] * s, ai = a[2 * k + 1] * s;
-    const double br = b[2 * k], bi = b[2 * k + 1];
-    out[2 * k] = ar * br + ai * bi;
-    out[2 * k + 1] = ai * br - ar * bi;
-  }
-}
-
 void scalar_scale(double* x, double s, std::size_t n) {
   for (std::size_t k = 0; k < 2 * n; ++k) x[k] *= s;
 }
@@ -152,12 +122,10 @@ namespace detail {
 
 const KernelTable& scalar_table() {
   static constexpr KernelTable table{
-      scalar_cmul,         scalar_cmul_conj,
-      scalar_cmul_scaled,  scalar_cmul_conj_scaled,
-      scalar_scale,        scalar_copy_scaled,
-      scalar_butterfly_pairs, scalar_fft_stage,
-      scalar_argmax_norm,  scalar_cdot_conj,
-      scalar_corr_direct,  scalar_corr_window_update,
+      scalar_cmul,            scalar_scale,
+      scalar_copy_scaled,     scalar_butterfly_pairs,
+      scalar_fft_stage,       scalar_argmax_norm,
+      scalar_corr_direct,     scalar_corr_window_update,
   };
   return table;
 }
@@ -275,20 +243,6 @@ void cmul(const double* a, const double* b, double* out, std::size_t n) {
   active().cmul(a, b, out, n);
 }
 
-void cmul_conj(const double* a, const double* b, double* out, std::size_t n) {
-  active().cmul_conj(a, b, out, n);
-}
-
-void cmul_scaled(const double* a, const double* b, double s, double* out,
-                 std::size_t n) {
-  active().cmul_scaled(a, b, s, out, n);
-}
-
-void cmul_conj_scaled(const double* a, const double* b, double s, double* out,
-                      std::size_t n) {
-  active().cmul_conj_scaled(a, b, s, out, n);
-}
-
 void scale(double* x, double s, std::size_t n) { active().scale(x, s, n); }
 
 void copy_scaled(const double* x, double s, double* out, std::size_t n) {
@@ -306,11 +260,6 @@ void fft_stage(double* d, const double* w, std::size_t n, std::size_t len,
 
 std::size_t argmax_norm(const double* y, std::size_t n) {
   return active().argmax_norm(y, n);
-}
-
-void cdot_conj(const double* a, const double* b, std::size_t n, double* re,
-               double* im) {
-  active().cdot_conj(a, b, n, re, im);
 }
 
 void corr_direct(const double* r, const double* s, double* y, std::size_t n,

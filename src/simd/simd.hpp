@@ -1,10 +1,10 @@
 // Portable SIMD layer for the complex-double DSP hot paths (DESIGN.md §12).
 //
-// One header exposes the vectorized kernels the detection pipeline is built
-// on: pointwise complex multiplies (FFT chirp/kernel products, bank
-// correlation spectra), FFT butterfly stages, squared-magnitude argmax
-// (peak pick), and windowed complex correlations (matched filter,
-// incremental subtract-update). Every kernel operates on the interleaved
+// One header exposes the eight vectorized kernels the detection pipeline
+// is built on: the pointwise complex multiply (bank correlation spectra),
+// scaling, radix-2 FFT butterfly stages, squared-magnitude argmax (peak
+// pick), and windowed complex correlations (matched filter, incremental
+// subtract-update). Every kernel operates on the interleaved
 // re/im double pairs of a `Complex` array — the array-oriented access
 // already used by the scalar fast path — so callers pass
 // `reinterpret_cast<double*>(CVec::data())` and a *complex* element count.
@@ -22,11 +22,11 @@
 //                ∩ runtime CPU support          (__builtin_cpu_supports)
 //                ∩ compile-time availability    (per-TU #ifdef guards)
 //
-// Equivalence contract: elementwise kernels (cmul*, scale, copy_scaled,
+// Equivalence contract: elementwise kernels (cmul, scale, copy_scaled,
 // butterfly stages) perform the exact scalar operation sequence per element
-// and are bit-identical across levels. Reduction kernels (cdot_conj,
-// corr_*) may reassociate the accumulation at AVX2 width and agree with
-// scalar only to floating-point roundoff; argmax_norm resolves ties to the
+// and are bit-identical across levels. Reduction kernels (corr_*) may
+// reassociate the accumulation at AVX2 width and agree with scalar only to
+// floating-point roundoff; argmax_norm resolves ties to the
 // lowest index at every level, matching the scalar first-maximum scan
 // exactly. Given a fixed level, every kernel is deterministic, so the
 // derive_seed bit-identity contract (same results at any thread count)
@@ -71,18 +71,6 @@ bool set_active_level(Level level);
 /// out[k] = a[k] * b[k].
 void cmul(const double* a, const double* b, double* out, std::size_t n);
 
-/// out[k] = a[k] * conj(b[k]).
-void cmul_conj(const double* a, const double* b, double* out, std::size_t n);
-
-/// out[k] = (a[k] * s) * b[k]  (the scale is applied to `a` first, exactly
-/// as the Bluestein inverse-chirp loop orders it).
-void cmul_scaled(const double* a, const double* b, double s, double* out,
-                 std::size_t n);
-
-/// out[k] = (a[k] * s) * conj(b[k]).
-void cmul_conj_scaled(const double* a, const double* b, double s, double* out,
-                      std::size_t n);
-
 /// x[k] *= s for all n complex elements (2n doubles).
 void scale(double* x, double s, std::size_t n);
 
@@ -106,10 +94,6 @@ void fft_stage(double* d, const double* w, std::size_t n, std::size_t len,
 /// Index of the first maximum of |y[k]|^2 over n complexes (ties resolve
 /// to the lowest index, matching a scalar first-maximum scan). n >= 1.
 std::size_t argmax_norm(const double* y, std::size_t n);
-
-/// *re + i*im = sum_{m<n} a[m] * conj(b[m]).
-void cdot_conj(const double* a, const double* b, std::size_t n, double* re,
-               double* im);
 
 /// Full correlation y[i] = sum_{m < min(np, n-i)} r[i+m] * conj(s[m]) for
 /// i < n (template samples beyond the end of r are treated as zero).

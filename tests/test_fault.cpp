@@ -383,6 +383,13 @@ TEST(FaultConfigTest, ValidateConfigStatusPath) {
   bad_fault.fault.crc_error_prob = 2.0;
   EXPECT_FALSE(ConcurrentRangingScenario::validate_config(bad_fault).ok());
 
+  ScenarioConfig bad_upsample = cfg;
+  bad_upsample.ranging.detector.upsample_factor = 3;
+  const Status s2 = ConcurrentRangingScenario::validate_config(bad_upsample);
+  EXPECT_EQ(s2.code(), ErrorCode::kInvalidConfig);
+  EXPECT_EQ(ConcurrentRangingScenario::create(bad_upsample).status().code(),
+            ErrorCode::kInvalidConfig);
+
   ScenarioConfig bad_resilience = cfg;
   bad_resilience.resilience.max_retries = -1;
   EXPECT_FALSE(

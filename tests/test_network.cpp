@@ -127,6 +127,14 @@ TEST(NetworkTest, CapacityBoundEnforced) {
   EXPECT_THROW(NetworkRangingSession{cfg}, PreconditionError);
 }
 
+TEST(NetworkTest, ValidateConfigRejectsNonPow2UpsampleFactor) {
+  NetworkConfig cfg = small_network(3);
+  EXPECT_TRUE(NetworkRangingSession::validate_config(cfg).ok());
+  cfg.ranging.detector.upsample_factor = 3;
+  EXPECT_EQ(NetworkRangingSession::validate_config(cfg).code(),
+            ErrorCode::kInvalidConfig);
+}
+
 TEST(NetworkTest, InvalidInitiatorIndexThrows) {
   NetworkRangingSession session(small_network(7));
   EXPECT_THROW(session.run_round(-1), PreconditionError);

@@ -6,6 +6,8 @@
 #include <tuple>
 
 #include "common/constants.hpp"
+#include "common/expects.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/signal.hpp"
 #include "dw1000/cir.hpp"
@@ -23,13 +25,22 @@ namespace {
 class UpsampleProperty
     : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
 
+// The radix-2 upsample has no grid for a factor that is not a power of
+// two: such factors (3 here) must be rejected rather than interpolated.
+bool rejects_factor(const CVec& x, int factor) {
+  if (dsp::is_pow2(static_cast<std::size_t>(factor))) return false;
+  EXPECT_THROW(dsp::upsample_fft(x, factor), PreconditionError);
+  return true;
+}
+
 TEST_P(UpsampleProperty, OriginalSamplesPreserved) {
   const auto [factor, n] = GetParam();
   Rng rng(n * 31 + static_cast<std::size_t>(factor));
   CVec x(n);
   for (auto& v : x) v = rng.complex_normal(1.0);
+  if (rejects_factor(x, factor)) return;
   const CVec y = dsp::upsample_fft(x, factor);
-  ASSERT_EQ(y.size(), n * static_cast<std::size_t>(factor));
+  ASSERT_EQ(y.size(), dsp::next_pow2(n) * static_cast<std::size_t>(factor));
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_LT(std::abs(y[i * static_cast<std::size_t>(factor)] - x[i]), 1e-9);
 }
@@ -41,6 +52,7 @@ TEST_P(UpsampleProperty, EnergyScalesWithFactor) {
   Rng rng(n * 17 + static_cast<std::size_t>(factor));
   CVec x(n);
   for (auto& v : x) v = rng.complex_normal(1.0);
+  if (rejects_factor(x, factor)) return;
   const double ratio =
       dsp::energy(dsp::upsample_fft(x, factor)) / dsp::energy(x);
   // The split Nyquist bin sheds up to ~half of one bin's energy (~1/2N of
