@@ -31,6 +31,7 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
   out.taps.reserve(specular.size());
 
   double los_amp = 0.0;
+  double strongest_amp = 0.0;
   for (const geom::SpecularPath& p : specular) {
     const double loss_db =
         log_distance_loss_db(p.length_m, params_.path_loss_exponent,
@@ -42,7 +43,9 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
     tap.amplitude = rng.random_phase() * loss_db_to_amplitude(loss_db);
     tap.deterministic = true;
     tap.order = p.order;
-    if (p.order == 0) los_amp = std::abs(tap.amplitude);
+    const double amp = std::abs(tap.amplitude);
+    if (p.order == 0) los_amp = amp;
+    strongest_amp = std::max(strongest_amp, amp);
     out.taps.push_back(tap);
   }
 
@@ -54,9 +57,16 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
             : loss_db_to_amplitude(log_distance_loss_db(
                   specular.front().length_m, params_.path_loss_exponent,
                   params_.reference_loss_db));
-    const std::vector<DiffuseRay> rays = draw_diffuse_tail(params_.diffuse, rng);
-    out.taps.reserve(out.taps.size() + rays.size());
-    for (const DiffuseRay& ray : rays) {
+    // A specular tap at or above the floor makes the link live: its tail is
+    // drawn in full. Otherwise the tail may stop once it provably stays
+    // below the floor (DESIGN.md Sect. 13.6).
+    const double tail_floor =
+        strongest_amp < detection_floor_ ? detection_floor_ / ref_amp : 0.0;
+    const DiffuseTail tail =
+        draw_diffuse_tail(params_.diffuse, rng, tail_floor);
+    out.tail_skipped = tail.skipped;
+    out.taps.reserve(out.taps.size() + tail.rays.size());
+    for (const DiffuseRay& ray : tail.rays) {
       Tap tap;
       tap.delay_s = out.los_delay_s + ray.excess_delay_s;
       tap.amplitude = ray.amplitude * ref_amp;
@@ -68,6 +78,11 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
   std::sort(out.taps.begin(), out.taps.end(),
             [](const Tap& a, const Tap& b) { return a.delay_s < b.delay_s; });
   return out;
+}
+
+void ChannelModel::set_detection_floor(double floor_amp) {
+  UWB_EXPECTS(floor_amp >= 0.0);
+  detection_floor_ = floor_amp;
 }
 
 Meters ChannelModel::max_detectable_range(double threshold_amp,

@@ -35,6 +35,10 @@ struct ChannelRealization {
   std::vector<Tap> taps;
   /// Propagation delay of the geometric direct path [s] (even if blocked).
   double los_delay_s = 0.0;
+  /// The diffuse tail was proven unable to reach the model's detection
+  /// floor and was not drawn: `taps` holds the specular taps only, all
+  /// below the floor.
+  bool tail_skipped = false;
 };
 
 /// Channel model configuration.
@@ -61,7 +65,17 @@ class ChannelModel {
   ChannelModel(geom::Room room, ChannelModelParams params);
 
   /// Draw a realisation for a TX at `tx` and an RX at `rx` [m].
+  ///
+  /// With a detection floor set, a link whose specular taps are all below
+  /// the floor and whose diffuse rays provably cannot reach it comes back
+  /// with `tail_skipped` set and fewer draws taken from `rng`. Every other
+  /// link draws exactly what it draws without a floor, so its taps are
+  /// bit-identical.
   ChannelRealization realize(geom::Vec2 tx, geom::Vec2 rx, Rng& rng) const;
+
+  /// Tap amplitude below which the receiver cannot detect anything [linear].
+  /// 0 (the default) draws every diffuse tail in full.
+  void set_detection_floor(double floor_amp);
 
   /// Upper bound on the TX-RX distance at which any tap of a realisation
   /// can still reach `threshold_amp`. Every specular path is at least as
@@ -80,6 +94,7 @@ class ChannelModel {
  private:
   geom::Room room_;
   ChannelModelParams params_;
+  double detection_floor_ = 0.0;
 };
 
 }  // namespace uwb::channel

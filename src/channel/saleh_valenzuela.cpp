@@ -8,11 +8,18 @@
 
 namespace uwb::channel {
 
-std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
-                                          Rng& rng) {
+DiffuseTail draw_diffuse_tail(const SalehValenzuelaParams& params, Rng& rng,
+                              double amp_floor) {
   UWB_EXPECTS(params.cluster_rate_hz > 0.0 && params.ray_rate_hz > 0.0);
   UWB_EXPECTS(params.cluster_decay_s > 0.0 && params.ray_decay_s > 0.0);
   UWB_EXPECTS(params.window_s > 0.0);
+  UWB_EXPECTS(amp_floor >= 0.0);
+
+  // Stage A: every ray's mean power is at most the total target power, so
+  // a floor above the largest Rayleigh draw at that power needs no draw.
+  const double target = db_to_linear(params.total_power_rel_db);
+  if (amp_floor > 0.0 && kRayleighMaxPerRms * std::sqrt(target) < amp_floor)
+    return {{}, true};
 
   struct RawRay {
     double delay = 0.0;
@@ -47,19 +54,27 @@ std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
   // Normalise the *mean* power profile to the requested total, then apply
   // per-ray Rayleigh fading so the realised total still fluctuates.
   double mean_total = 0.0;
-  for (const RawRay& r : raw) mean_total += r.mean_power;
-  const double target = db_to_linear(params.total_power_rel_db);
+  double max_mean_power = 0.0;
+  for (const RawRay& r : raw) {
+    mean_total += r.mean_power;
+    max_mean_power = std::max(max_mean_power, r.mean_power);
+  }
   const double scale = target / mean_total;
 
-  std::vector<DiffuseRay> rays;
-  rays.reserve(raw.size());
+  // Stage B: the strongest ray's RMS amplitude is now known.
+  if (amp_floor > 0.0 &&
+      kRayleighMaxPerRms * std::sqrt(max_mean_power * scale) < amp_floor)
+    return {{}, true};
+
+  DiffuseTail tail;
+  tail.rays.reserve(raw.size());
   for (const RawRay& r : raw) {
     const double mean_amp = std::sqrt(r.mean_power * scale);
     // Rayleigh with E[a^2] = mean_amp^2 -> sigma = mean_amp / sqrt(2).
     const double a = rng.rayleigh(mean_amp / std::sqrt(2.0));
-    rays.push_back({r.delay, rng.random_phase() * a});
+    tail.rays.push_back({r.delay, rng.random_phase() * a});
   }
-  return rays;
+  return tail;
 }
 
 }  // namespace uwb::channel

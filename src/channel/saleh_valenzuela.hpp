@@ -39,10 +39,26 @@ struct SalehValenzuelaParams {
   double window_s = 120e-9;
 };
 
+/// A drawn diffuse tail.
+struct DiffuseTail {
+  /// The drawn rays, cluster by cluster.
+  std::vector<DiffuseRay> rays;
+  /// The draw stopped early because no ray could reach the amplitude floor;
+  /// `rays` is then empty.
+  bool skipped = false;
+};
+
 /// Draw a diffuse-tail realisation. The returned rays carry excess delays in
 /// (0, window_s] and complex amplitudes scaled so the *expected* total
 /// diffuse power equals `total_power_rel_db` relative to a unit LOS ray.
-std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
-                                          Rng& rng);
+///
+/// With `amp_floor` > 0 (relative to a unit LOS ray) the draw stops as soon
+/// as a bound proves that no ray amplitude can reach the floor: before any
+/// draw when kRayleighMaxPerRms * sqrt(total power) < amp_floor, and after
+/// the ray-delay draws, before the Rayleigh and phase draws, when
+/// kRayleighMaxPerRms times the largest ray RMS amplitude is. A floor of 0
+/// draws every tail in full.
+DiffuseTail draw_diffuse_tail(const SalehValenzuelaParams& params, Rng& rng,
+                              double amp_floor = 0.0);
 
 }  // namespace uwb::channel

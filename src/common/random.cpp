@@ -44,7 +44,7 @@ double Rng::normal(double mean, double stddev) {
 
 double Rng::rayleigh(double sigma) {
   UWB_EXPECTS(sigma >= 0.0);
-  const double u = uniform(1e-300, 1.0);
+  const double u = uniform(kRayleighMinUniform, 1.0);
   return sigma * std::sqrt(-2.0 * std::log(u));
 }
 

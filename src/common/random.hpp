@@ -11,6 +11,17 @@
 
 namespace uwb {
 
+/// Smallest uniform variate Rng::rayleigh draws: rayleigh(sigma) is
+/// sigma * sqrt(-2 ln u) with u in [kRayleighMinUniform, 1).
+inline constexpr double kRayleighMinUniform = 1e-300;
+
+/// Largest rayleigh(sigma) / (sigma * sqrt(2)), the Rayleigh amplitude per
+/// unit RMS amplitude: sqrt(-2 ln 1e-300) / sqrt(2) = sqrt(300 ln 10) =
+/// 26.2826088487..., carried with a relative margin of 1e-9 to cover the
+/// rounding of log, sqrt and a unit-phase product. A ray whose RMS
+/// amplitude times this bound is below a threshold never reaches it.
+inline constexpr double kRayleighMaxPerRms = 26.282608875067268;
+
 /// Deterministically derive the seed of sub-stream `stream` from a base
 /// seed. Pure 64-bit integer mixing (splitmix64 finalizer), so the result
 /// is identical on every platform, compiler, and thread schedule — the
@@ -33,7 +44,8 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Rayleigh-distributed magnitude with scale sigma.
+  /// Rayleigh-distributed magnitude with scale sigma; never above
+  /// sigma * sqrt(2) * kRayleighMaxPerRms.
   double rayleigh(double sigma);
 
   /// Exponential with given mean.

@@ -20,6 +20,10 @@ std::uint64_t link_stream(int tx_node_id, int rx_node_id) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(rx_node_id));
 }
 
+/// Fading headroom of the interference radius [dB]: covers the unbounded
+/// specular fading draw (16 dB = 16 sigma at the default 1 dB fading).
+constexpr double kRangeMarginDb = 16.0;
+
 }  // namespace
 
 Medium::Medium(Simulator& simulator, channel::ChannelModel model,
@@ -27,13 +31,16 @@ Medium::Medium(Simulator& simulator, channel::ChannelModel model,
     : sim_(simulator), model_(std::move(model)), params_(params),
       fanout_(obs::fanout_buckets()) {
   UWB_EXPECTS(params.detection_threshold_amp >= 0.0);
+  // Nothing below the threshold is ever detected, so the medium's links may
+  // skip diffuse tails that provably stay below it.
+  model_.set_detection_floor(params_.detection_threshold_amp);
   // One draw anchors the whole per-(link, frame) seed hierarchy; the Rng
   // itself is not kept, so no shared mutable stream survives construction.
   channel_stream_base_ = rng.engine()();
   interference_radius_m_ =
       model_
           .max_detectable_range(params_.detection_threshold_amp,
-                                params_.range_margin_db)
+                                kRangeMarginDb)
           .value();
 }
 
@@ -107,6 +114,9 @@ Medium::DeliverOutcome Medium::deliver(
   }
   if (first == nullptr) {
     ++stats_.below_threshold;
+    if (ch.tail_skipped) ++stats_.tails_skipped;
+    // strongest_amp is the strongest tap drawn: with a skipped tail, the
+    // strongest specular tap.
     UWB_FR_EVENT(.kind = obs::FrKind::kChannel, .name = "below_threshold",
                  .chain = frame_seed, .t_ps = preamble_start.ps(),
                  .node = rx.id(), .peer = tx_node_id,
@@ -208,6 +218,8 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
 
   std::uint64_t delivered = 0;
   std::uint64_t culled = 0;
+  [[maybe_unused]] const std::uint64_t tails_skipped_before =
+      stats_.tails_skipped;
 
   ensure_spatial_index();
   if (culling_active()) {
@@ -266,6 +278,8 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
 
   UWB_OBS_COUNT("medium_frames_delivered", delivered);
   UWB_OBS_COUNT("medium_receivers_culled", culled);
+  UWB_OBS_COUNT("medium_tails_skipped",
+                stats_.tails_skipped - tails_skipped_before);
   UWB_OBS_HISTOGRAM("medium_frame_fanout", ::uwb::obs::fanout_buckets(),
                     delivered);
 }

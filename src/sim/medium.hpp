@@ -75,11 +75,6 @@ struct MediumParams {
   /// their channels. Bit-identical to the unculled medium for every
   /// delivered frame (the skipped receivers could never detect a tap).
   bool culling_enabled = true;
-  /// Fading headroom used when deriving the interference radius from the
-  /// channel model (ChannelModel::max_detectable_range) [dB]: covers the
-  /// unbounded specular fading draw (16 dB = 16 sigma at the default
-  /// 1 dB fading).
-  double range_margin_db = 16.0;
 };
 
 /// Cumulative frame-traffic totals since construction.
@@ -93,6 +88,9 @@ struct MediumStats {
   std::uint64_t channels_realized = 0;
   /// Channels realized whose taps all fell below the detection threshold.
   std::uint64_t below_threshold = 0;
+  /// Below-threshold channels whose diffuse tail was proven dead and not
+  /// drawn (ChannelRealization::tail_skipped); at most below_threshold.
+  std::uint64_t tails_skipped = 0;
 };
 
 /// Delivered/culled traffic attributed to one grid cell (keyed by the
@@ -125,6 +123,8 @@ class Medium {
                 Seconds shr_duration, Seconds frame_duration,
                 double tx_drift_ppm);
 
+  /// The medium's own copy of the channel model, with its detection floor
+  /// set to `detection_threshold_amp`.
   const channel::ChannelModel& channel_model() const { return model_; }
   Simulator& simulator() { return sim_; }
 

@@ -35,7 +35,7 @@ TEST(SalehValenzuelaTest, TotalPowerNearTarget) {
   double total = 0.0;
   const int n = 300;
   for (int i = 0; i < n; ++i) {
-    for (const DiffuseRay& ray : draw_diffuse_tail(params, rng))
+    for (const DiffuseRay& ray : draw_diffuse_tail(params, rng).rays)
       total += std::norm(ray.amplitude);
   }
   EXPECT_NEAR(total / n, db_to_linear(-6.0), 0.1);
@@ -46,7 +46,7 @@ TEST(SalehValenzuelaTest, DelaysWithinWindow) {
   params.window_s = 80e-9;
   Rng rng(2);
   for (int i = 0; i < 20; ++i) {
-    for (const DiffuseRay& ray : draw_diffuse_tail(params, rng)) {
+    for (const DiffuseRay& ray : draw_diffuse_tail(params, rng).rays) {
       EXPECT_GT(ray.excess_delay_s, 0.0);
       EXPECT_LE(ray.excess_delay_s, params.window_s);
     }
@@ -60,7 +60,7 @@ TEST(SalehValenzuelaTest, PowerDecaysWithDelay) {
   double early = 0.0, late = 0.0;
   int early_n = 0, late_n = 0;
   for (int i = 0; i < 500; ++i) {
-    for (const DiffuseRay& ray : draw_diffuse_tail(params, rng)) {
+    for (const DiffuseRay& ray : draw_diffuse_tail(params, rng).rays) {
       if (ray.excess_delay_s < params.window_s / 3.0) {
         early += std::norm(ray.amplitude);
         ++early_n;
@@ -73,6 +73,40 @@ TEST(SalehValenzuelaTest, PowerDecaysWithDelay) {
   ASSERT_GT(early_n, 100);
   ASSERT_GT(late_n, 100);
   EXPECT_GT(early / early_n, 3.0 * (late / late_n));
+}
+
+TEST(SalehValenzuelaTest, RayleighBoundPinnedAtUniformFloor) {
+  // rayleigh(sigma) = sigma * sqrt(-2 ln u) is largest at the smallest u it
+  // draws, 1e-300; kRayleighMaxPerRms is that maximum over sigma * sqrt(2),
+  // plus a margin far below any change of the floor.
+  EXPECT_EQ(kRayleighMinUniform, 1e-300);
+  const double sigma = 0.37;
+  const double at_floor = sigma * std::sqrt(-2.0 * std::log(1e-300));
+  const double per_rms = at_floor / (sigma * std::sqrt(2.0));
+  EXPECT_GE(kRayleighMaxPerRms, per_rms);
+  EXPECT_LE(kRayleighMaxPerRms, per_rms * (1.0 + 1e-8));
+  Rng rng(41);
+  for (int i = 0; i < 10000; ++i)
+    EXPECT_LE(rng.rayleigh(sigma), at_floor);
+}
+
+TEST(SalehValenzuelaTest, FloorAboveEveryRayStopsBeforeAnyDraw) {
+  // Stage A: a floor above the worst case at the total diffuse power skips
+  // without touching the stream; a floor of 0 draws the tail in full.
+  const SalehValenzuelaParams params;
+  const double worst =
+      kRayleighMaxPerRms * std::sqrt(db_to_linear(params.total_power_rel_db));
+  Rng skipped(42);
+  const DiffuseTail tail = draw_diffuse_tail(params, skipped, worst * 1.001);
+  EXPECT_TRUE(tail.skipped);
+  EXPECT_TRUE(tail.rays.empty());
+  Rng fresh(42);
+  EXPECT_EQ(skipped.uniform(0.0, 1.0), fresh.uniform(0.0, 1.0));
+
+  Rng full(43);
+  const DiffuseTail drawn = draw_diffuse_tail(params, full, 0.0);
+  EXPECT_FALSE(drawn.skipped);
+  EXPECT_GT(drawn.rays.size(), 100u);
 }
 
 TEST(SalehValenzuelaTest, InvalidParamsThrow) {

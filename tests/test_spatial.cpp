@@ -4,6 +4,7 @@
 // frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "channel/channel_model.hpp"
 #include "channel/path_loss.hpp"
 #include "common/hash.hpp"
+#include "common/units.hpp"
 #include "geom/grid.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
@@ -284,12 +286,11 @@ TEST(CullingIdentityTest, OutOfRangeReceiverNeverDelivered) {
   // no frame is ever detectable, which is exactly what makes culling safe.
   channel::ChannelModelParams ch = scale_channel();
   const geom::Room room = geom::Room::rectangular(400.0, 50.0, 10.0);
-  const channel::ChannelModel model(room, ch);
   MediumParams mp;
+  Simulator radius_sim;
   const double radius =
-      model.max_detectable_range(mp.detection_threshold_amp,
-                                 mp.range_margin_db)
-          .value();
+      Medium(radius_sim, channel::ChannelModel(room, ch), mp, Rng(0))
+          .interference_radius_m();
   ASSERT_TRUE(std::isfinite(radius));
   ASSERT_LT(radius + 30.0, 400.0);
 
@@ -381,6 +382,10 @@ TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
   EXPECT_EQ(stats.channels_realized + stats.receivers_culled, 40u * 39u);
   EXPECT_EQ(stats.channels_realized,
             stats.frames_delivered + stats.below_threshold);
+  // Only below-threshold links skip their tail, and through a building
+  // most of them do.
+  EXPECT_LE(stats.tails_skipped, stats.below_threshold);
+  EXPECT_GT(stats.tails_skipped, 0u);
   std::uint64_t cell_delivered = 0;
   std::uint64_t cell_culled = 0;
   std::uint64_t cell_below = 0;
@@ -402,6 +407,154 @@ TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
   EXPECT_EQ(medium.frame_fanout().count(), stats.frames_transmitted);
   EXPECT_DOUBLE_EQ(medium.frame_fanout().sum(),
                    static_cast<double>(stats.frames_delivered));
+}
+
+// ---------------------------------------------------------------------------
+// Provably dead links (DESIGN.md Sect. 13.6)
+
+bool any_tap_reaches(const channel::ChannelRealization& ch, double floor) {
+  for (const channel::Tap& t : ch.taps)
+    if (std::abs(t.amplitude) >= floor) return true;
+  return false;
+}
+
+bool same_taps(const channel::ChannelRealization& a,
+               const channel::ChannelRealization& b) {
+  if (a.taps.size() != b.taps.size()) return false;
+  for (std::size_t i = 0; i < a.taps.size(); ++i) {
+    const channel::Tap& x = a.taps[i];
+    const channel::Tap& y = b.taps[i];
+    if (double_bits(x.delay_s) != double_bits(y.delay_s) ||
+        double_bits(x.amplitude.real()) != double_bits(y.amplitude.real()) ||
+        double_bits(x.amplitude.imag()) != double_bits(y.amplitude.imag()) ||
+        x.deterministic != y.deterministic || x.order != y.order)
+      return false;
+  }
+  return true;
+}
+
+/// Largest Rayleigh draw per unit RMS amplitude, derived here from the
+/// sampler's u >= 1e-300 floor rather than read from the library.
+double rayleigh_max_per_rms() {
+  return std::sqrt(-2.0 * std::log(1e-300)) / std::sqrt(2.0);
+}
+
+struct DeadLinkSweep {
+  int links = 0;
+  int skipped = 0;
+  /// Links whose stage-A edge was probed.
+  int edge_checked = 0;
+};
+
+/// Realizes every ordered link among `positions` with and without the
+/// floor. The floored model must agree with the full draw on whether any
+/// tap reaches the floor, and must draw every live link bit-identically.
+/// Then, per link, the floor is moved just below and just above the link's
+/// own stage-A bound (the worst diffuse ray at the full diffuse power): just
+/// below, the tail must not be skipped before its first draw; just above,
+/// it must be.
+DeadLinkSweep sweep_links(const geom::Room& room,
+                          const channel::ChannelModelParams& params,
+                          const std::vector<geom::Vec2>& positions,
+                          double floor, std::uint64_t seed) {
+  const channel::ChannelModel full(room, params);
+  channel::ChannelModel floored(room, params);
+  floored.set_detection_floor(floor);
+  channel::ChannelModelParams specular_params = params;
+  specular_params.enable_diffuse = false;
+  const channel::ChannelModel specular_only(room, specular_params);
+  const double stage_a_per_ref =
+      rayleigh_max_per_rms() *
+      std::sqrt(db_to_linear(params.diffuse.total_power_rel_db));
+
+  DeadLinkSweep sweep;
+  std::uint64_t link = 0;
+  for (const geom::Vec2 tx : positions) {
+    for (const geom::Vec2 rx : positions) {
+      if (geom::distance(tx, rx) <= 0.0) continue;
+      const std::uint64_t link_seed = derive_seed(seed, link++);
+      Rng full_rng(link_seed);
+      Rng floored_rng(link_seed);
+      const auto a = full.realize(tx, rx, full_rng);
+      const auto b = floored.realize(tx, rx, floored_rng);
+      ++sweep.links;
+      if (b.tail_skipped) ++sweep.skipped;
+      EXPECT_EQ(any_tap_reaches(a, floor), any_tap_reaches(b, floor))
+          << "link " << link;
+      if (any_tap_reaches(a, floor)) {
+        EXPECT_FALSE(b.tail_skipped);
+        EXPECT_TRUE(same_taps(a, b)) << "link " << link;
+      }
+
+      double los_amp = 0.0;
+      double strongest_specular = 0.0;
+      for (const channel::Tap& t : a.taps) {
+        if (!t.deterministic) continue;
+        strongest_specular =
+            std::max(strongest_specular, std::abs(t.amplitude));
+        if (t.order == 0) los_amp = std::abs(t.amplitude);
+      }
+      const double bound = stage_a_per_ref * los_amp;
+      if (!(strongest_specular < bound * (1.0 - 1e-6))) continue;
+      // The stream right after the specular draws: where a tail skipped
+      // before its first draw leaves it.
+      Rng after_specular(link_seed);
+      (void)specular_only.realize(tx, rx, after_specular);
+      const double untouched = after_specular.uniform(0.0, 1.0);
+      for (const double factor : {1.0 - 1e-6, 1.0 + 1e-6}) {
+        channel::ChannelModel edge(room, params);
+        edge.set_detection_floor(bound * factor);
+        Rng edge_rng(link_seed);
+        const auto e = edge.realize(tx, rx, edge_rng);
+        const bool stopped_before_draws =
+            edge_rng.uniform(0.0, 1.0) == untouched;
+        EXPECT_EQ(stopped_before_draws, factor > 1.0)
+            << "link " << link << " floor factor " << factor;
+        if (factor > 1.0) {
+          EXPECT_TRUE(e.tail_skipped);
+        }
+      }
+      ++sweep.edge_checked;
+    }
+  }
+  return sweep;
+}
+
+TEST(DeadLinkTest, BuildingLinksSkipOnlyProvablyDeadTails) {
+  // The building workload's channel: through-building exponent, partitions
+  // as obstacles, floor 0.05.
+  channel::ChannelModelParams params;
+  params.path_loss_exponent = 3.5;
+  params.max_reflection_order = 0;
+  DeadLinkSweep total;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const FloorPlan plan = make_floor_plan(plan_for_nodes(24, 1.0));
+    const auto positions = place_nodes(plan, 24, seed);
+    const DeadLinkSweep s =
+        sweep_links(plan.room, params, positions, 0.05, derive_seed(seed, 7));
+    total.links += s.links;
+    total.skipped += s.skipped;
+    total.edge_checked += s.edge_checked;
+  }
+  ASSERT_EQ(total.links, 3 * 24 * 23);
+  EXPECT_GE(total.edge_checked * 2, total.links);
+  // The gate must do real work, not only stay exact.
+  EXPECT_GE(total.skipped * 4, total.links * 3)
+      << total.skipped << " of " << total.links << " tails skipped";
+}
+
+TEST(DeadLinkTest, HallwayLinksAreAllLiveAndUnchanged) {
+  // The Fig. 4 hallway at the default threshold: every link is live, so
+  // the floored model draws exactly what the full model draws.
+  const geom::Room hallway = geom::Room::hallway(40.0, 2.4, 15.0);
+  std::vector<geom::Vec2> positions;
+  for (double x = 2.0; x <= 38.0; x += 4.0) positions.push_back({x, 1.0});
+  const DeadLinkSweep s =
+      sweep_links(hallway, channel::ChannelModelParams{}, positions,
+                  MediumParams{}.detection_threshold_amp, 11);
+  EXPECT_EQ(s.links, 10 * 9);
+  EXPECT_EQ(s.skipped, 0);
+  EXPECT_EQ(s.edge_checked, s.links);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,6 +617,7 @@ TEST(SessionCullingTest, RoundOutcomeBitIdenticalToUncutReference) {
     }
     EXPECT_TRUE(culled.medium().culling_active());
     EXPECT_GT(culled.medium().stats().receivers_culled, 0u);
+    EXPECT_GT(culled.medium().stats().tails_skipped, 0u);
     EXPECT_FALSE(full.medium().culling_active());
   }
 }
