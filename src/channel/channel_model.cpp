@@ -50,7 +50,9 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
   }
 
   if (params_.enable_diffuse) {
-    // Diffuse power is defined relative to the (unobstructed) direct path.
+    // Diffuse power is defined relative to the direct-path tap as drawn:
+    // faded and obstructed. Only a link with no LOS amplitude falls back to
+    // the unobstructed log-distance amplitude.
     const double ref_amp =
         los_amp > 0.0
             ? los_amp

@@ -8,21 +8,22 @@
 
 namespace uwb::dsp {
 
+std::size_t upsample_input_length(std::size_t n) {
+  return std::max<std::size_t>(2, next_pow2(n));
+}
+
 void upsample_spectrum(const Complex* spec, std::size_t n, int factor,
                        Complex* padded) {
+  UWB_EXPECTS(n >= 2 && n % 2 == 0);
   const std::size_t m = n * static_cast<std::size_t>(factor);
   std::fill(padded, padded + m, Complex{});
   // Copy positive frequencies [0, n/2) and negative frequencies (n/2, n).
   const std::size_t half = n / 2;
   for (std::size_t k = 0; k < half; ++k) padded[k] = spec[k];
-  for (std::size_t k = half + (n % 2); k < n; ++k) padded[m - n + k] = spec[k];
-  if (n % 2 == 0) {
-    // Split the Nyquist bin between the two halves to keep a real input real.
-    padded[half] = spec[half] * 0.5;
-    padded[m - half] = spec[half] * 0.5;
-  } else {
-    padded[half] = spec[half];
-  }
+  for (std::size_t k = half + 1; k < n; ++k) padded[m - n + k] = spec[k];
+  // Split the Nyquist bin between the two halves to keep a real input real.
+  padded[half] = spec[half] * 0.5;
+  padded[m - half] = spec[half] * 0.5;
 }
 
 CVec upsample_fft(const CVec& x, int factor) {
@@ -32,7 +33,7 @@ CVec upsample_fft(const CVec& x, int factor) {
   // radix-2 transform takes no other length (the 1016-tap CIR becomes 1024
   // taps). The padding splices zeros at the window end only, leaving
   // interior peaks untouched.
-  const std::size_t n = next_pow2(x.size());
+  const std::size_t n = upsample_input_length(x.size());
   if (factor == 1) {
     CVec y(n, Complex{});
     std::copy(x.begin(), x.end(), y.begin());

@@ -8,11 +8,31 @@
 
 namespace uwb::dw {
 
-CirEstimate synthesize_cir(const std::vector<CirArrival>& arrivals,
-                           const CirParams& params, Rng& rng) {
+namespace {
+
+void check_params(const CirParams& params) {
   UWB_EXPECTS(params.length > 0);
   UWB_EXPECTS(params.ts_s > 0.0);
   UWB_EXPECTS(params.noise_sigma >= 0.0);
+}
+
+}  // namespace
+
+CVec draw_cir_noise(const CirParams& params, Rng& rng) {
+  check_params(params);
+  CVec noise;
+  if (params.noise_sigma > 0.0) {
+    noise.resize(static_cast<std::size_t>(params.length));
+    for (auto& n : noise) n = rng.complex_normal(params.noise_sigma);
+  }
+  return noise;
+}
+
+CirEstimate render_cir(const std::vector<CirArrival>& arrivals,
+                       const CirParams& params, const CVec& noise) {
+  check_params(params);
+  UWB_EXPECTS(noise.empty() ||
+              noise.size() == static_cast<std::size_t>(params.length));
 
   CirEstimate out;
   out.ts_s = params.ts_s;
@@ -34,10 +54,16 @@ CirEstimate synthesize_cir(const std::vector<CirArrival>& arrivals,
     }
   }
 
-  if (params.noise_sigma > 0.0) {
-    for (auto& tap : out.taps) tap += rng.complex_normal(params.noise_sigma);
-  }
+  // Noise goes on after the pulse sum, so each tap is the same sum in the
+  // same order whenever its noise was drawn.
+  for (std::size_t i = 0; i < noise.size(); ++i) out.taps[i] += noise[i];
   return out;
+}
+
+CirEstimate synthesize_cir(const std::vector<CirArrival>& arrivals,
+                           const CirParams& params, Rng& rng) {
+  const CVec noise = draw_cir_noise(params, rng);
+  return render_cir(arrivals, params, noise);
 }
 
 }  // namespace uwb::dw

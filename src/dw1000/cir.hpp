@@ -44,8 +44,19 @@ struct CirEstimate {
   double first_path_index = 0.0;
 };
 
+/// Accumulator noise for one CIR: params.length complex normals of sigma
+/// params.noise_sigma, or none when the sigma is 0. The only random part of
+/// a CIR estimate.
+CVec draw_cir_noise(const CirParams& params, Rng& rng);
+
 /// Superpose all arrivals (evaluating each pulse shape at fractional delays)
-/// and add accumulator noise.
+/// and add `noise` (from draw_cir_noise with the same params) tap by tap.
+/// Draws nothing, so a receiver can draw its noise on reception and render
+/// only when the CIR is read.
+CirEstimate render_cir(const std::vector<CirArrival>& arrivals,
+                       const CirParams& params, const CVec& noise);
+
+/// render_cir(arrivals, params, draw_cir_noise(params, rng)).
 CirEstimate synthesize_cir(const std::vector<CirArrival>& arrivals,
                            const CirParams& params, Rng& rng);
 

@@ -4,6 +4,7 @@
 // that pass through them (used for the NLOS extension study).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,18 +44,51 @@ class Room {
                       double reflection_loss_db = 5.0);
 
   void add_wall(Wall w) { walls_.push_back(std::move(w)); }
-  void add_obstacle(Obstacle o) { obstacles_.push_back(std::move(o)); }
+  /// Append an obstacle (finite endpoints) and bucket it into the obstacle
+  /// index: amortized O(cells it covers).
+  void add_obstacle(Obstacle o);
 
   const std::vector<Wall>& walls() const { return walls_; }
   const std::vector<Obstacle>& obstacles() const { return obstacles_; }
 
   /// Total obstacle transmission loss (dB) along the open segment from a to
-  /// b; 0 when the path is clear.
+  /// b; 0 when the path is clear. Sums the losses of the obstacles the
+  /// segment strictly crosses in ascending obstacle index, testing only the
+  /// obstacles indexed in cells its bounding box touches.
   double obstruction_loss_db(Vec2 a, Vec2 b) const;
 
  private:
+  /// Obstacles bucketed into square cells over a box that covers them all
+  /// (DESIGN.md Sect. 13.7). Cells are a dense row-major array; each holds
+  /// a chain of entries. Indices, not pointers, so a copied Room carries a
+  /// valid index.
+  struct ObstacleIndex {
+    struct Entry {
+      std::int32_t obstacle = 0;
+      /// Next entry of the same cell; -1 ends the chain.
+      std::int32_t next = -1;
+      /// The obstacle's lowest cell column and row.
+      std::int32_t ix0 = 0;
+      std::int32_t iy0 = 0;
+    };
+    /// Covered box [m]; every obstacle's bounding box lies inside it.
+    double x0 = 0.0, y0 = 0.0, x1 = 0.0, y1 = 0.0;
+    double cell_m = 0.0;
+    std::int32_t nx = 0, ny = 0;
+    /// First entry of each cell, -1 when empty.
+    std::vector<std::int32_t> head;
+    std::vector<Entry> entries;
+  };
+
+  /// Bucket obstacle `i` into the index cells its bounding box covers.
+  void bucket_obstacle(std::size_t i);
+  /// Grow the covered box to take `i`'s bounding box, choose the cell size,
+  /// and re-bucket obstacles 0..i.
+  void regrid_obstacles(std::size_t i);
+
   std::vector<Wall> walls_;
   std::vector<Obstacle> obstacles_;
+  ObstacleIndex index_;
 };
 
 }  // namespace uwb::geom

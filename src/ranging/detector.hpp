@@ -27,6 +27,15 @@ struct DetectedResponse {
   int shape_index = -1;
 };
 
+/// Detection stops when the next peak falls below this multiple of the
+/// noise sigma ...
+inline constexpr double kNoiseThresholdFactor = 5.0;
+/// ... or, in search-and-subtract, below this fraction of the strongest
+/// detected peak. The amplitude-independence requirement (open challenge
+/// IV) means this must stay small; it only rejects pure noise, never weak
+/// responders.
+inline constexpr double kRelativeStopFraction = 0.02;
+
 struct DetectorConfig {
   /// FFT upsampling factor applied to the CIR (Sect. IV step 1): a power
   /// of two in [1, 64], since the radix-2 FFT is the only transform.
@@ -34,12 +43,6 @@ struct DetectorConfig {
   /// Pulse template bank: TC_PGDELAY values (Sect. V). One entry = plain
   /// detection; multiple entries = joint detection + shape classification.
   std::vector<std::uint8_t> shape_registers{k::tc_pgdelay_default};
-  /// Stop when the next peak falls below this multiple of the noise sigma.
-  double noise_threshold_factor = 5.0;
-  /// ... or below this fraction of the strongest detected peak. The
-  /// amplitude-independence requirement (open challenge IV) means this must
-  /// stay small; it only rejects pure noise, never weak responders.
-  double relative_stop_fraction = 0.02;
 };
 
 namespace detail {

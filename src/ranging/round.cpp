@@ -93,7 +93,7 @@ void process_batch(AttemptState& st,
   const ConcurrentRangingConfig& ranging = *s.ranging;
   sim::RxResult& r = *st.rx;
   out.completed = true;
-  out.cir = std::move(r.cir);
+  out.cir = r.render_cir();
   out.frames_in_batch = r.frames_in_batch;
   out.crc_error = r.crc_error;
 

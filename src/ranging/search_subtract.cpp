@@ -240,18 +240,18 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     // measured, not assumed white); never stop by absolute power bounds.
     const double noise = dsp::noise_sigma_estimate(best_y);
     const bool below_noise =
-        best.mag < config_.noise_threshold_factor * noise;
+        best.mag < kNoiseThresholdFactor * noise;
     const bool below =
         below_noise || (strongest > 0.0 &&
-                        best.mag < config_.relative_stop_fraction * strongest);
+                        best.mag < kRelativeStopFraction * strongest);
     if (below) {
       UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_rejected",
                    .detail = below_noise ? "below_noise" : "relative_stop",
                    .v0 = {"mag", best.mag},
                    .v1 = {"threshold",
                           below_noise
-                              ? config_.noise_threshold_factor * noise
-                              : config_.relative_stop_fraction * strongest},
+                              ? kNoiseThresholdFactor * noise
+                              : kRelativeStopFraction * strongest},
                    .v2 = {"shape", static_cast<double>(best.shape)});
       // The rejected final output still belongs to the trace (it is what
       // shows the residual has hit the noise floor).
@@ -284,7 +284,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
         config_.shape_registers.size() > 1 ? best.shape : -1;
     UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_accepted",
                  .v0 = {"mag", best.mag},
-                 .v1 = {"threshold", config_.noise_threshold_factor * noise},
+                 .v1 = {"threshold", kNoiseThresholdFactor * noise},
                  .v2 = {"tau_s", resp.tau_s},
                  .v3 = {"shape", static_cast<double>(best.shape)});
     found.push_back(resp);
@@ -315,7 +315,7 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
                                               const TemplateBank& bank,
                                               FastState& st) const {
   const int factor = config_.upsample_factor;
-  const std::size_t n2 = dsp::next_pow2(cir_taps.size());
+  const std::size_t n2 = dsp::upsample_input_length(cir_taps.size());
   const std::size_t kM = n2 * static_cast<std::size_t>(factor);
   // One padded length for the whole bank (sized by the longest template) so
   // every template correlates against the same residual spectrum.
@@ -438,19 +438,19 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     best.mag = std::abs(best_y[best.index]);
 
     const double noise = dsp::noise_sigma_estimate(best_y);
-    if (best.mag < config_.noise_threshold_factor * noise) {
+    if (best.mag < kNoiseThresholdFactor * noise) {
       UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_rejected",
                    .detail = "below_noise", .v0 = {"mag", best.mag},
-                   .v1 = {"threshold", config_.noise_threshold_factor * noise},
+                   .v1 = {"threshold", kNoiseThresholdFactor * noise},
                    .v2 = {"shape", static_cast<double>(best.shape)});
       break;
     }
     if (strongest > 0.0 &&
-        best.mag < config_.relative_stop_fraction * strongest) {
+        best.mag < kRelativeStopFraction * strongest) {
       UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_rejected",
                    .detail = "relative_stop", .v0 = {"mag", best.mag},
                    .v1 = {"threshold",
-                          config_.relative_stop_fraction * strongest},
+                          kRelativeStopFraction * strongest},
                    .v2 = {"shape", static_cast<double>(best.shape)});
       break;
     }
@@ -471,7 +471,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
         config_.shape_registers.size() > 1 ? best.shape : -1;
     UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_accepted",
                  .v0 = {"mag", best.mag},
-                 .v1 = {"threshold", config_.noise_threshold_factor * noise},
+                 .v1 = {"threshold", kNoiseThresholdFactor * noise},
                  .v2 = {"tau_s", resp.tau_s},
                  .v3 = {"shape", static_cast<double>(best.shape)});
     found.push_back(resp);

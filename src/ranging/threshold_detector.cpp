@@ -35,7 +35,7 @@ std::vector<DetectedResponse> ThresholdDetector::detect(const CVec& cir_taps,
   const double noise = dsp::noise_sigma_estimate(up);
   const double peak = *std::max_element(mag.begin(), mag.end());
   const double threshold =
-      std::max(config_.noise_threshold_factor * noise,
+      std::max(kNoiseThresholdFactor * noise,
                kBaselineRelativeThreshold * peak);
 
   // Np: the visible pulse duration in upsampled samples. Falsi et al. scan

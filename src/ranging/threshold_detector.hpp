@@ -14,8 +14,9 @@ namespace uwb::ranging {
 
 class ThresholdDetector {
  public:
-  /// Uses upsample_factor, the *first* shape register (for the window
-  /// length), and noise_threshold_factor of the config.
+  /// Uses upsample_factor and the *first* shape register (for the window
+  /// length) of the config; the threshold is kNoiseThresholdFactor noise
+  /// sigmas (or a fraction of the peak).
   explicit ThresholdDetector(DetectorConfig config);
 
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,

@@ -10,6 +10,13 @@
 
 namespace uwb::sim {
 
+dw::CirEstimate RxResult::render_cir() const {
+  UWB_OBS_SPAN("cir_synthesis");
+  dw::CirEstimate cir = dw::render_cir(cir_arrivals, cir_params, cir_noise);
+  cir.first_path_index = cir_first_path_index;
+  return cir;
+}
+
 namespace {
 /// Processing margin after the last sample of a frame before the receiver
 /// reports the result.
@@ -190,10 +197,16 @@ void Node::finalize_batch() {
 
   RxResult result;
   {
-    UWB_OBS_SPAN("cir_synthesis");
-    result.cir = dw::synthesize_cir(arrivals, config_.cir, rng_);
+    // The noise is drawn on reception, before the timestamp and CFO draws,
+    // so every later draw of rng_ is the same whether or not a handler
+    // reads the CIR; the pulse render waits for a reader
+    // (RxResult::render_cir).
+    UWB_OBS_SPAN("cir_noise");
+    result.cir_noise = dw::draw_cir_noise(config_.cir, rng_);
   }
-  result.cir.first_path_index = static_cast<double>(config_.cir_anchor_taps);
+  result.cir_arrivals = std::move(arrivals);
+  result.cir_params = config_.cir;
+  result.cir_first_path_index = static_cast<double>(config_.cir_anchor_taps);
   result.rx_timestamp =
       dw::noisy_rx_timestamp(config_.timestamping, sync->tc_pgdelay,
                              clock_.device_time(sync->rmarker_arrival), rng_)

@@ -68,8 +68,14 @@ struct RxResult {
   std::optional<dw::MacFrame> frame;
   /// Noisy device time of the sync frame's RMARKER arrival.
   dw::DwTimestamp rx_timestamp;
-  /// Superposed CIR over all concurrent frames.
-  dw::CirEstimate cir;
+  /// What the CIR accumulator collected: every tap of every batch frame,
+  /// placed in the CIR window, and the accumulator noise drawn on
+  /// reception. render_cir() turns them into the CIR estimate.
+  std::vector<dw::CirArrival> cir_arrivals;
+  CVec cir_noise;
+  dw::CirParams cir_params;
+  /// Tap index of the sync frame's first path in the CIR window.
+  double cir_first_path_index = 0.0;
   /// Estimated remote-minus-local clock drift [ppm] (noisy).
   double carrier_offset_ppm = 0.0;
   /// Number of frames superposed in this batch.
@@ -88,6 +94,11 @@ struct RxResult {
   /// arrival order) — lets sessions attribute per-responder outcomes.
   std::vector<int> batch_tx_node_ids;
   SimTime completed_at;
+
+  /// Superposed CIR over all concurrent frames. Renders on every call
+  /// (span `cir_synthesis`); only a handler that reads the CIR pays for
+  /// it, so call it once and keep the result.
+  dw::CirEstimate render_cir() const;
 };
 
 class Node {

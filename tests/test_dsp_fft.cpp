@@ -190,6 +190,31 @@ TEST(UpsampleTest, OddLengthWorks) {
     EXPECT_LT(std::abs(y[i * 2] - x[i]), 1e-9);
 }
 
+TEST(UpsampleTest, OneSampleIsInterpolatedAsPaddedPair) {
+  // {v} is zero-padded to {v, 0}; with the Nyquist bin split, the
+  // band-limited interpolation of that pair is v * cos^2(pi t / 2).
+  const Complex v{0.75, -0.5};
+  for (int factor : {1, 2, 8}) {
+    const CVec y = upsample_fft(CVec{v}, factor);
+    ASSERT_EQ(y.size(), 2u * static_cast<std::size_t>(factor));
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      const double c = std::cos(std::numbers::pi * static_cast<double>(i) /
+                                (2.0 * factor));
+      EXPECT_LT(std::abs(y[i] - v * (c * c)), 1e-12)
+          << "factor " << factor << " sample " << i;
+    }
+  }
+}
+
+TEST(UpsampleTest, SpectrumLengthMustBeEven) {
+  const CVec spec(3, Complex{1.0, 0.0});
+  CVec padded(6);
+  EXPECT_THROW(upsample_spectrum(spec.data(), 3, 2, padded.data()),
+               PreconditionError);
+  EXPECT_THROW(upsample_spectrum(spec.data(), 1, 2, padded.data()),
+               PreconditionError);
+}
+
 TEST(UpsampleTest, InvalidArgsThrow) {
   EXPECT_THROW(upsample_fft(CVec{}, 2), PreconditionError);
   EXPECT_THROW(upsample_fft(CVec{{1, 0}}, 0), PreconditionError);

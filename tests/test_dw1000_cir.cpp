@@ -113,6 +113,66 @@ TEST(CirTest, WiderPulseSpreadsMoreTaps) {
   EXPECT_GT(count_significant(cw.taps), count_significant(cn.taps));
 }
 
+// The synthesis in one pass, each tap's noise drawn in place after the
+// pulse sum: the reference the noise-then-render split must reproduce bit
+// for bit.
+CirEstimate in_place_reference(const std::vector<CirArrival>& arrivals,
+                               const CirParams& params, Rng& rng) {
+  CirEstimate out;
+  out.ts_s = params.ts_s;
+  out.taps.assign(static_cast<std::size_t>(params.length), Complex{});
+  for (const CirArrival& a : arrivals) {
+    for (int n = 0; n < params.length; ++n) {
+      const double t = n * params.ts_s - a.time_into_window_s;
+      if (std::abs(t) > pulse_duration_s(a.tc_pgdelay) / 2.0 + params.ts_s)
+        continue;
+      out.taps[static_cast<std::size_t>(n)] +=
+          a.amplitude * pulse_value(a.tc_pgdelay, t);
+    }
+  }
+  if (params.noise_sigma > 0.0)
+    for (auto& tap : out.taps) tap += rng.complex_normal(params.noise_sigma);
+  return out;
+}
+
+TEST(CirTest, NoiseThenRenderEqualsInPlaceSynthesis) {
+  Rng arrivals_rng(21);
+  std::vector<CirArrival> arrivals;
+  for (int i = 0; i < 40; ++i) {
+    CirArrival a;
+    a.time_into_window_s = arrivals_rng.uniform(-5.0, 1020.0) * k::cir_ts_s;
+    a.amplitude = arrivals_rng.complex_normal(0.3);
+    a.tc_pgdelay = i % 2 == 0 ? k::tc_pgdelay_default : 0xC8;
+    arrivals.push_back(a);
+  }
+  for (const double sigma : {0.004, 0.0}) {
+    CirParams params;
+    params.noise_sigma = sigma;
+    Rng reference_rng(77), whole(77), split(77);
+    const CirEstimate reference =
+        in_place_reference(arrivals, params, reference_rng);
+    const CirEstimate synthesized = synthesize_cir(arrivals, params, whole);
+    const CVec noise = draw_cir_noise(params, split);
+    const std::size_t drawn =
+        sigma > 0.0 ? static_cast<std::size_t>(params.length) : 0u;
+    EXPECT_EQ(noise.size(), drawn);
+    const CirEstimate rendered = render_cir(arrivals, params, noise);
+    EXPECT_EQ(synthesized.taps, reference.taps) << "sigma " << sigma;
+    EXPECT_EQ(rendered.taps, reference.taps) << "sigma " << sigma;
+    EXPECT_EQ(rendered.ts_s, reference.ts_s);
+    // The render draws nothing: all streams continue from the same state.
+    const double next = reference_rng.uniform(0.0, 1.0);
+    EXPECT_EQ(whole.uniform(0.0, 1.0), next);
+    EXPECT_EQ(split.uniform(0.0, 1.0), next);
+  }
+}
+
+TEST(CirTest, RenderRejectsNoiseOfAnotherLength) {
+  const CirParams params;
+  EXPECT_THROW(render_cir({}, params, CVec(10)), PreconditionError);
+  EXPECT_NO_THROW(render_cir({}, params, CVec{}));
+}
+
 TEST(CirTest, InvalidParamsThrow) {
   Rng rng(8);
   CirParams bad;

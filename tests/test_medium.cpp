@@ -81,7 +81,8 @@ TEST(MediumTest, ChannelRedrawnPerFrame) {
   Node tx(bench.sim, *bench.medium, node_cfg(0, {10.0, 25.0}), Rng(2));
   Node rx(bench.sim, *bench.medium, node_cfg(1, {20.0, 25.0}), Rng(3));
   std::vector<CVec> cirs;
-  rx.set_rx_handler([&](const RxResult& r) { cirs.push_back(r.cir.taps); });
+  rx.set_rx_handler(
+      [&](const RxResult& r) { cirs.push_back(r.render_cir().taps); });
   dw::MacFrame f;
   for (int i = 0; i < 2; ++i) {
     bench.sim.after(SimTime::from_micros(5.0), [&] {

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "common/constants.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "ranging/session.hpp"
 
 namespace uwb::ranging {
@@ -51,6 +53,37 @@ TEST(SessionTest, ThreeRespondersFig4Scenario) {
   EXPECT_NEAR(out.estimates[0].distance_m, 3.0, 0.3);
   EXPECT_NEAR(out.estimates[1].distance_m, 6.0, 0.75);
   EXPECT_NEAR(out.estimates[2].distance_m, 10.0, 0.75);
+}
+
+TEST(SessionTest, OnlyTheInitiatorRendersItsCir) {
+  // Responders act on the INIT's RX timestamp alone; the initiator is the
+  // one reader of a CIR in a round. Every receiver still draws its noise.
+  obs::MetricsRegistry::instance().reset();
+  ScenarioConfig cfg = hallway_scenario(8);
+  cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
+  ConcurrentRangingScenario scenario(cfg);
+  constexpr int kRounds = 5;
+  std::uint64_t read = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    const RoundOutcome out = scenario.run_round();
+    if (out.completed) {
+      ++read;
+      EXPECT_EQ(out.cir.taps.size(), static_cast<std::size_t>(cfg.cir.length));
+    }
+  }
+  EXPECT_EQ(read, static_cast<std::uint64_t>(kRounds));
+  const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
+  const auto* rendered = snap.span("cir_synthesis");
+  const auto* noise = snap.span("cir_noise");
+  if (!obs::kEnabled) {
+    EXPECT_EQ(rendered, nullptr);
+    EXPECT_EQ(noise, nullptr);
+    return;
+  }
+  ASSERT_NE(rendered, nullptr);
+  ASSERT_NE(noise, nullptr);
+  EXPECT_EQ(rendered->count, read);
+  EXPECT_EQ(noise->count, (1 + cfg.responders.size()) * kRounds);
 }
 
 TEST(SessionTest, ThreeRespondersIdealTxTiming) {

@@ -303,6 +303,51 @@ TEST(NodeTest, OutOfRangeFrameNotDelivered) {
   b.exit_rx();
 }
 
+// The receiver draws its CIR noise on reception and renders the pulses
+// only when a handler reads the CIR, so a handler that never reads it
+// leaves every draw of the node's stream where a reading handler does.
+TEST(NodeTest, UnreadCirLeavesEveryDrawUnchanged) {
+  constexpr std::uint64_t kSeed = 11;
+  const auto receive_twice = [](bool read_cir) {
+    TestBench bench(10.0, kSeed);
+    std::vector<RxResult> got;
+    bench.b->set_rx_handler([&](const RxResult& r) {
+      if (read_cir) (void)r.render_cir();
+      got.push_back(r);
+    });
+    dw::MacFrame f;
+    for (int i = 0; i < 2; ++i) {
+      bench.sim.after(SimTime::from_micros(5.0), [&] { bench.b->enter_rx(); });
+      bench.sim.after(SimTime::from_micros(10.0),
+                      [&] { bench.a->transmit_now(f); });
+      bench.sim.run();
+    }
+    return got;
+  };
+  const std::vector<RxResult> reader = receive_twice(true);
+  const std::vector<RxResult> skipper = receive_twice(false);
+  ASSERT_EQ(reader.size(), 2u);
+  ASSERT_EQ(skipper.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(reader[i].rx_timestamp, skipper[i].rx_timestamp);
+    EXPECT_EQ(reader[i].carrier_offset_ppm, skipper[i].carrier_offset_ppm);
+    EXPECT_EQ(reader[i].cir_noise, skipper[i].cir_noise);
+    EXPECT_EQ(reader[i].render_cir().taps, skipper[i].render_cir().taps);
+  }
+  // The second reception drew fresh noise: the stream moved on.
+  EXPECT_NE(reader[0].cir_noise, reader[1].cir_noise);
+  // The noise is the first draw of the receiver's stream (TestBench seeds
+  // node b with seed + 2), taken before the timestamp and CFO draws, so
+  // the first CIR is the one synthesize_cir draws from a fresh stream.
+  Rng fresh(kSeed + 2);
+  EXPECT_EQ(reader[0].render_cir().taps,
+            dw::synthesize_cir(reader[0].cir_arrivals, reader[0].cir_params,
+                               fresh)
+                .taps);
+  EXPECT_EQ(reader[0].render_cir().first_path_index,
+            reader[0].cir_first_path_index);
+}
+
 TEST(NodeTest, TransmitWhileListeningThrows) {
   TestBench bench;
   bench.a->enter_rx();
