@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
     const double time_ms = dsp::mean(result.samples("time_ms"));
     // Analytic SS-TWR energy for the same task (every node ranges to all
     // others with scheduled exchanges).
-    const ranging::NetworkConfig cfg = network_config(n, 0);
-    const auto twr = ranging::twr_round_cost(n - 1, cfg.phy, 290e-6,
+    const auto twr = ranging::twr_round_cost(n - 1, dw::PhyConfig{}, 290e-6,
                                              dw::EnergyModelParams{});
     std::printf("%-6d %-12lld %5.1f %%       %-14.3f %-16.3f %-16.3f %.2f\n",
                 n, static_cast<long long>(pairs), filled_pct, mean_err,

@@ -9,9 +9,10 @@
 // 1. Session sweep (headline): N concurrent responders run full
 //    concurrent-ranging rounds on the Monte-Carlo engine. The culled
 //    (sharded) runs are timed — nN_sessions_per_sec and the headline
-//    sessions_per_sec — and every trial is re-run on the unculled O(N^2)
-//    reference medium at the same seed: the round-outcome digests must
-//    match bit for bit (nN_identity_ok; a mismatch fails the run).
+//    sessions_per_sec, the median over kTimingRepetitions identical runs —
+//    and every trial is re-run once on the unculled O(N^2) reference
+//    medium at the same seed: the round-outcome digests must match bit for
+//    bit (nN_identity_ok; a mismatch fails the run).
 //
 // 2. Raw medium sweep: every node broadcasts one frame through the medium
 //    (no protocol on top), isolating the transmit fan-out. Measures
@@ -38,11 +39,16 @@
 
 #include "bench_util.hpp"
 #include "common/hash.hpp"
+#include "dsp/stats.hpp"
 #include "sim/floorplan.hpp"
 
 namespace {
 
 using namespace uwb;
+
+/// Identical culled runs per responder count. The reported wall time is
+/// their median, so one slow run of a few rounds does not set the figure.
+constexpr int kTimingRepetitions = 5;
 
 /// Through-building propagation: steeper decay than the single-room
 /// default, no image-source solve (hundreds of partition segments), diffuse
@@ -201,50 +207,66 @@ int main(int argc, char** argv) {
   // 1. Session sweep: timed culled runs, each verified bit-for-bit
   //    against the unculled reference at the same seeds.
   bench::subheading("concurrent-ranging sessions vs responder count");
-  std::printf("(%d rounds per count; culled timed, reference for identity)\n",
-              opts.trials);
+  std::printf("(%d rounds per count; culled timed, median of %d runs; "
+              "reference for identity)\n",
+              opts.trials, kTimingRepetitions);
   std::printf("%-8s %-10s %-16s %-12s %-12s %-10s %s\n", "N", "rooms",
               "sessions/sec", "round [ms]", "realized", "culled",
               "identity");
 
+  // Runs `trials` rounds of the N-responder building on the culled or the
+  // reference medium, recording under the cell name "n<N>".
+  const auto run_sessions = [&opts](int n, bool culling) {
+    std::string cell = "n";
+    cell += std::to_string(n);
+    return bench::run_rounds(
+        opts, 8200 + static_cast<std::uint64_t>(n), opts.trials,
+        [n, culling](std::uint64_t seed) {
+          return building_scenario(seed, n, culling);
+        },
+        [cell](const ranging::ConcurrentRangingScenario& scenario,
+               const ranging::RoundOutcome& out, runner::TrialRecorder& rec) {
+          // >> 11 keeps the digest inside a double's 53 exact integer bits.
+          rec.sample(cell + "_digest",
+                     static_cast<double>(outcome_digest(out) >> 11));
+          const auto& stats = scenario.medium().stats();
+          rec.count(cell + "_delivered",
+                    static_cast<std::int64_t>(stats.frames_delivered));
+          rec.count(cell + "_realized",
+                    static_cast<std::int64_t>(stats.channels_realized));
+          rec.count(cell + "_culled",
+                    static_cast<std::int64_t>(stats.receivers_culled));
+          for (const auto& rep : out.responder_reports)
+            if (rep.status == ranging::RangingStatus::kOk)
+              rec.count(cell + "_status_ok");
+        });
+  };
+
+  // The whole culled sweep repeats, so a transient host slowdown lands in
+  // one repetition of every N rather than in every repetition of one N.
+  std::vector<runner::TrialResult> culled_runs;
+  std::vector<RVec> culled_wall_ms(session_counts.size());
+  for (int rep = 0; rep < kTimingRepetitions; ++rep)
+    for (std::size_t i = 0; i < session_counts.size(); ++i) {
+      runner::TrialResult run = run_sessions(session_counts[i], true);
+      culled_wall_ms[i].push_back(run.wall_ms());
+      if (rep == 0) culled_runs.push_back(std::move(run));
+    }
+
   bool identity_ok = true;
   double headline_sessions_per_sec = 0.0;
   std::vector<double> session_round_ms;
-  for (const int n : session_counts) {
+  for (std::size_t i = 0; i < session_counts.size(); ++i) {
+    const int n = session_counts[i];
     const std::string cell = "n" + std::to_string(n);
-    const std::uint64_t base_seed = 8200 + static_cast<std::uint64_t>(n);
-    const auto record = [&cell](
-                            const ranging::ConcurrentRangingScenario& scenario,
-                            const ranging::RoundOutcome& out,
-                            runner::TrialRecorder& rec) {
-      // >> 11 keeps the digest inside a double's 53 exact integer bits.
-      rec.sample(cell + "_digest",
-                 static_cast<double>(outcome_digest(out) >> 11));
-      const auto& stats = scenario.medium().stats();
-      rec.count(cell + "_delivered",
-                static_cast<std::int64_t>(stats.frames_delivered));
-      rec.count(cell + "_realized",
-                static_cast<std::int64_t>(stats.channels_realized));
-      rec.count(cell + "_culled",
-                static_cast<std::int64_t>(stats.receivers_culled));
-      for (const auto& rep : out.responder_reports)
-        if (rep.status == ranging::RangingStatus::kOk)
-          rec.count(cell + "_status_ok");
-    };
-    const auto culled = bench::run_rounds(
-        opts, base_seed, opts.trials,
-        [&](std::uint64_t seed) { return building_scenario(seed, n, true); },
-        record);
-    const auto reference = bench::run_rounds(
-        opts, base_seed, opts.trials,
-        [&](std::uint64_t seed) { return building_scenario(seed, n, false); },
-        record);
+    const runner::TrialResult& culled = culled_runs[i];
+    const double wall_ms = dsp::median(culled_wall_ms[i]);
+    const runner::TrialResult reference = run_sessions(n, false);
 
     const bool ok = same_samples(culled, reference, cell + "_digest");
     identity_ok = identity_ok && ok;
-    const double round_ms = culled.wall_ms() / opts.trials;
-    const double per_sec =
-        culled.wall_ms() > 0.0 ? 1000.0 * opts.trials / culled.wall_ms() : 0.0;
+    const double round_ms = wall_ms / opts.trials;
+    const double per_sec = wall_ms > 0.0 ? 1000.0 * opts.trials / wall_ms : 0.0;
     session_round_ms.push_back(round_ms);
     headline_sessions_per_sec = per_sec;  // largest N wins (ascending sweep)
 

@@ -67,7 +67,7 @@ int walkthrough() {
   // (b)/(c): matched filter outputs per iteration.
   const auto trace = scenario.detector().detect_with_trace(
       out.cir.taps, out.cir.ts_s, 3);
-  const int up = scenario.detector().config().upsample_factor;
+  const int up = ranging::kUpsampleFactor;
   for (std::size_t it = 0; it < std::min<std::size_t>(2, trace.mf_outputs.size());
        ++it) {
     bench::subheading(it == 0 ? "(b) matched filter output"

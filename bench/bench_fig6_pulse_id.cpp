@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const std::uint8_t reg =
         cfg.ranging.shape_registers[static_cast<std::size_t>(shape)];
     const CVec y = det.matched_filter_output(out.cir.taps, out.cir.ts_s, shape);
-    const int up = det.config().upsample_factor;
+    const int up = ranging::kUpsampleFactor;
     // The filter output indexes template *starts*; shift by this template's
     // centre so the search window sits on the response peak.
     const auto tmpl_centre = static_cast<std::ptrdiff_t>(

@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   report.param("overlap_window_ns", overlap_window_s * 1e9);
   report.param("tolerance_ns", tol_s * 1e9);
 
-  const ranging::DetectorConfig det_cfg = bench::hallway_scenario(0).ranging.detector;
+  const ranging::DetectorConfig det_cfg{
+      bench::hallway_scenario(0).ranging.shape_registers};
   const auto result = bench::run_rounds(
       opts, 707, opts.trials,
       [](std::uint64_t seed) {

@@ -204,21 +204,6 @@ constexpr Seconds to_seconds(CirTapIndex tap) {
   return Seconds(static_cast<double>(tap.count()) * k::cir_ts_s);
 }
 
-/// Fractional CIR tap position of a time offset (callers round or
-/// interpolate as appropriate for their detector).
-constexpr double cir_tap_of(Seconds t) { return t.value() / k::cir_ts_s; }
-
-/// Nearest whole CIR tap for a time offset.
-constexpr CirTapIndex to_cir_tap(Seconds t) {
-  const double tap = cir_tap_of(t);
-  return CirTapIndex(static_cast<std::int32_t>(tap + (tap >= 0 ? 0.5 : -0.5)));
-}
-
-/// Distance equivalent of a CIR tap offset (one-way, at c_air).
-constexpr Meters distance_of(CirTapIndex tap) {
-  return distance_from_tof(to_seconds(tap));
-}
-
 /// SimTime for a physical duration (rounds to the picosecond grid).
 constexpr SimTime to_sim_time(Seconds s) { return SimTime::from_seconds(s.value()); }
 

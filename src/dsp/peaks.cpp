@@ -23,12 +23,6 @@ std::size_t argmax_abs(const CVec& x) {
   return best;
 }
 
-std::size_t argmax(const RVec& x) {
-  UWB_EXPECTS(!x.empty());
-  return static_cast<std::size_t>(
-      std::distance(x.begin(), std::max_element(x.begin(), x.end())));
-}
-
 std::vector<Peak> local_maxima(const CVec& x, double threshold,
                                std::size_t min_distance) {
   UWB_EXPECTS(!x.empty());

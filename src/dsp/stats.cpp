@@ -44,11 +44,4 @@ double rms(const RVec& x) {
   return std::sqrt(acc / static_cast<double>(x.size()));
 }
 
-double max_abs(const RVec& x) {
-  UWB_EXPECTS(!x.empty());
-  double m = 0.0;
-  for (double v : x) m = std::max(m, std::abs(v));
-  return m;
-}
-
 }  // namespace uwb::dsp

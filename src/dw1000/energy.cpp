@@ -16,18 +16,12 @@ void EnergyMeter::add_rx(double duration_s) {
   ++rx_count_;
 }
 
-void EnergyMeter::add_idle(double duration_s) {
-  UWB_EXPECTS(duration_s >= 0.0);
-  idle_s_ += duration_s;
-}
-
 double EnergyMeter::charge_c() const {
-  return tx_s_ * params_.tx_current_a + rx_s_ * params_.rx_current_a +
-         idle_s_ * params_.idle_current_a;
+  return tx_s_ * params_.tx_current_a + rx_s_ * params_.rx_current_a;
 }
 
 void EnergyMeter::reset() {
-  tx_s_ = rx_s_ = idle_s_ = 0.0;
+  tx_s_ = rx_s_ = 0.0;
   tx_count_ = rx_count_ = 0;
 }
 

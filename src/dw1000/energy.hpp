@@ -13,7 +13,6 @@ namespace uwb::dw {
 struct EnergyModelParams {
   double rx_current_a = 0.155;
   double tx_current_a = 0.090;
-  double idle_current_a = 0.000018;  // deep-sleep order of magnitude
   double supply_v = 3.3;
 };
 
@@ -24,11 +23,9 @@ class EnergyMeter {
 
   void add_tx(double duration_s);
   void add_rx(double duration_s);
-  void add_idle(double duration_s);
 
   double tx_time_s() const { return tx_s_; }
   double rx_time_s() const { return rx_s_; }
-  double idle_time_s() const { return idle_s_; }
   int tx_count() const { return tx_count_; }
   int rx_count() const { return rx_count_; }
 
@@ -45,7 +42,6 @@ class EnergyMeter {
   EnergyModelParams params_;
   double tx_s_ = 0.0;
   double rx_s_ = 0.0;
-  double idle_s_ = 0.0;
   int tx_count_ = 0;
   int rx_count_ = 0;
 };

@@ -18,7 +18,7 @@ namespace uwb::ranging {
 struct DetectedResponse {
   /// Peak time relative to the start of the CIR window [s].
   double tau_s = 0.0;
-  /// Peak position on the upsampled grid (tau_s / (Ts / upsample_factor)).
+  /// Peak position on the upsampled grid (tau_s / (Ts / kUpsampleFactor)).
   double index_upsampled = 0.0;
   /// Complex amplitude estimate in CIR units.
   Complex amplitude;
@@ -36,19 +36,14 @@ inline constexpr double kNoiseThresholdFactor = 5.0;
 /// responders.
 inline constexpr double kRelativeStopFraction = 0.02;
 
+/// FFT upsampling factor the detectors apply to the CIR (Sect. IV step 1):
+/// a power of two, since the radix-2 FFT is the only transform.
+inline constexpr int kUpsampleFactor = 8;
+
 struct DetectorConfig {
-  /// FFT upsampling factor applied to the CIR (Sect. IV step 1): a power
-  /// of two in [1, 64], since the radix-2 FFT is the only transform.
-  int upsample_factor = 8;
   /// Pulse template bank: TC_PGDELAY values (Sect. V). One entry = plain
   /// detection; multiple entries = joint detection + shape classification.
   std::vector<std::uint8_t> shape_registers{k::tc_pgdelay_default};
 };
-
-namespace detail {
-/// Precondition check shared by the detectors' constructors and the
-/// sessions' validate_config (throws PreconditionError).
-void validate_detector_config(const DetectorConfig& cfg);
-}  // namespace detail
 
 }  // namespace uwb::ranging

@@ -30,19 +30,14 @@ Seconds ds_twr_asymmetry_residual_s(const DsTwrTimestamps& ts) {
 
 DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  UWB_EXPECTS(config_.response_delay > Seconds(0.0));
   medium_ = std::make_unique<sim::Medium>(
-      sim_, channel::ChannelModel(config_.room, config_.channel),
-      config_.medium, rng_.fork());
+      sim_, channel::ChannelModel(config_.room, channel::ChannelModelParams{}),
+      sim::MediumParams{}, rng_.fork());
 
   const auto make_node = [&](int id, geom::Vec2 pos) {
     sim::NodeConfig nc;
     nc.id = id;
     nc.position = pos;
-    nc.phy = config_.phy;
-    nc.cir = config_.cir;
-    nc.timestamping = config_.timestamping;
-    nc.delayed_tx_truncation = config_.delayed_tx_truncation;
     return make_session_node(sim_, *medium_, nc, config_.clock_drift_sigma_ppm,
                              rng_);
   };
@@ -56,7 +51,7 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     if (r.frame->type == dw::FrameType::Init) {
       ts_.t_rx_poll = r.rx_timestamp;
       const dw::DwTimestamp target =
-          r.rx_timestamp.plus_seconds(config_.response_delay);
+          r.rx_timestamp.plus_seconds(kDsTwrResponseDelay);
       const dw::DwTimestamp actual = responder_->delayed_tx_time(target);
       ts_.t_tx_resp = actual;
       dw::MacFrame resp;
@@ -71,8 +66,8 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
       const SimTime resp_end =
           responder_->clock().global_time_of(actual, sim_.now()) +
           SimTime::from_seconds(
-              config_.phy.frame_duration_s(resp.payload_bytes()) -
-              config_.phy.shr_duration_s());
+              responder_->phy().frame_duration_s(resp.payload_bytes()) -
+              responder_->phy().shr_duration_s());
       sim_.at(resp_end + SimTime::from_micros(5.0), [this]() {
         if (!responder_->in_rx()) responder_->enter_rx();
       });
@@ -92,7 +87,7 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     if (!r.frame || r.frame->type != dw::FrameType::Resp) return;
     const dw::DwTimestamp t_rx_resp = r.rx_timestamp;
     const dw::DwTimestamp target =
-        t_rx_resp.plus_seconds(config_.response_delay);
+        t_rx_resp.plus_seconds(kDsTwrResponseDelay);
     const dw::DwTimestamp actual = initiator_->delayed_tx_time(target);
     dw::MacFrame fin;
     fin.type = dw::FrameType::Final;
@@ -122,7 +117,7 @@ DsTwrResult DsTwrSession::run_round() {
   dw::MacFrame poll;
   poll.type = dw::FrameType::Init;
   const double poll_airtime =
-      config_.phy.frame_duration_s(poll.payload_bytes());
+      initiator_->phy().frame_duration_s(poll.payload_bytes());
   sim_.at(t0 + SimTime::from_micros(20.0), [this, poll]() {
     initiator_->exit_rx();
     ts_.t_tx_poll = initiator_->transmit_now(poll);
@@ -133,7 +128,7 @@ DsTwrResult DsTwrSession::run_round() {
 
   // POLL + RESP + FINAL: two response delays plus three frame airtimes.
   const SimTime deadline =
-      t0 + to_sim_time(config_.response_delay * 2.0) +
+      t0 + to_sim_time(kDsTwrResponseDelay * 2.0) +
       SimTime::from_micros(2000.0);
   sim_.run_until(deadline);
 

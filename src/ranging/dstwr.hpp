@@ -16,9 +16,7 @@
 #include <memory>
 #include <optional>
 
-#include "channel/channel_model.hpp"
 #include "dw1000/clock.hpp"
-#include "dw1000/phy_config.hpp"
 #include "geom/room.hpp"
 #include "sim/medium.hpp"
 #include "sim/node.hpp"
@@ -57,19 +55,17 @@ Meters ds_twr_distance(const DsTwrTimestamps& ts);
 /// direction unobserved.
 Seconds ds_twr_asymmetry_residual_s(const DsTwrTimestamps& ts);
 
-/// A two-node DS-TWR deployment running on the full radio simulation.
+/// Reply delay of both DS-TWR responses (RESP and FINAL), the paper's
+/// Delta_RESP.
+inline constexpr Seconds kDsTwrResponseDelay{290e-6};
+
+/// A two-node DS-TWR deployment running on the full radio simulation, on
+/// the default channel, medium and radios (sim::NodeConfig).
 struct DsTwrSessionConfig {
   geom::Room room = geom::Room::rectangular(20.0, 10.0);
-  channel::ChannelModelParams channel;
-  sim::MediumParams medium;
   geom::Vec2 initiator_position{2.0, 5.0};
   geom::Vec2 responder_position{8.0, 5.0};
-  dw::PhyConfig phy;
-  dw::CirParams cir;
-  dw::TimestampModelParams timestamping;
-  Seconds response_delay{290e-6};
   double clock_drift_sigma_ppm = 1.0;
-  bool delayed_tx_truncation = true;
   std::uint64_t seed = 1;
 };
 

@@ -1,11 +1,14 @@
 #include "ranging/network.hpp"
 
-#include <algorithm>
-
 #include "common/expects.hpp"
 #include "ranging/round.hpp"
 
 namespace uwb::ranging {
+
+namespace {
+/// Per-node crystal drift is drawn from N(0, sigma) [ppm].
+constexpr double kClockDriftSigmaPpm = 1.0;
+}  // namespace
 
 Status NetworkRangingSession::validate_config(const NetworkConfig& config) {
   const auto invalid = [](std::string message) {
@@ -13,7 +16,6 @@ Status NetworkRangingSession::validate_config(const NetworkConfig& config) {
   };
   try {
     config.ranging.validate();
-    detail::validate_detector_config(detector_config_for(config.ranging));
   } catch (const PreconditionError& e) {
     return invalid(e.what());
   }
@@ -30,35 +32,24 @@ Status NetworkRangingSession::validate_config(const NetworkConfig& config) {
   return Status::success();
 }
 
-Result<std::unique_ptr<NetworkRangingSession>> NetworkRangingSession::create(
-    NetworkConfig config) {
-  Status status = validate_config(config);
-  if (!status.ok()) return status;
-  return std::make_unique<NetworkRangingSession>(std::move(config));
-}
-
 NetworkRangingSession::NetworkRangingSession(NetworkConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      detector_(detector_config_for(config_.ranging)) {
+      detector_(DetectorConfig{config_.ranging.shape_registers}) {
   config_.ranging.validate();
   UWB_EXPECTS(config_.node_positions.size() >= 2);
   UWB_EXPECTS(static_cast<int>(config_.node_positions.size()) - 1 <=
               config_.ranging.max_responders());
 
   medium_ = std::make_unique<sim::Medium>(
-      sim_, channel::ChannelModel(config_.room, config_.channel),
-      config_.medium, rng_.fork());
+      sim_, channel::ChannelModel(config_.room, channel::ChannelModelParams{}),
+      sim::MediumParams{}, rng_.fork());
 
   for (std::size_t i = 0; i < config_.node_positions.size(); ++i) {
     sim::NodeConfig nc;
     nc.id = static_cast<int>(i);
     nc.position = config_.node_positions[i];
-    nc.phy = config_.phy;
-    nc.cir = config_.cir;
-    nc.timestamping = config_.timestamping;
-    nc.delayed_tx_truncation = config_.delayed_tx_truncation;
-    nodes_.push_back(make_session_node(sim_, *medium_, nc,
-                                       config_.clock_drift_sigma_ppm, rng_));
+    nodes_.push_back(
+        make_session_node(sim_, *medium_, nc, kClockDriftSigmaPpm, rng_));
   }
 }
 
@@ -96,13 +87,9 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
   AttemptSettings settings;
   settings.ranging = &config_.ranging;
   settings.detector = &detector_;
-  settings.max_responses = std::max(
-      node_count() - 1,
-      config_.slot_aware_selection ? 2 * (node_count() - 1) : 0);
+  settings.max_responses = 2 * (node_count() - 1);
   settings.cfo_correction = true;
-  settings.slot_aware_selection = config_.slot_aware_selection;
-  // No retry policy here: the RX window closes after the default listen.
-  settings.rx_extra_listen = ResilienceConfig{}.rx_extra_listen;
+  settings.slot_aware_selection = true;
   const RangingAttempt attempt =
       run_ranging_attempt(sim_, node(initiator_index), responders, settings);
 

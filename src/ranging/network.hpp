@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "channel/channel_model.hpp"
 #include "common/result.hpp"
 #include "geom/room.hpp"
 #include "ranging/protocol.hpp"
@@ -23,22 +22,17 @@
 
 namespace uwb::ranging {
 
+/// A network on the default channel, medium and radios (sim::NodeConfig),
+/// with 1 ppm crystal drift and slot-aware selection of twice as many
+/// detections as responders.
 struct NetworkConfig {
   geom::Room room = geom::Room::rectangular(20.0, 12.0, 10.0);
-  channel::ChannelModelParams channel;
-  sim::MediumParams medium;
   /// One entry per node; the vector index is the node's network address.
   std::vector<geom::Vec2> node_positions;
   /// Slot/shape plan applied to the responders of each round. Responder IDs
   /// are assigned per round by ascending node index (the initiator knows
   /// the mapping because membership is static).
   ConcurrentRangingConfig ranging;
-  dw::PhyConfig phy;
-  dw::CirParams cir;
-  dw::TimestampModelParams timestamping;
-  double clock_drift_sigma_ppm = 1.0;
-  bool delayed_tx_truncation = true;
-  bool slot_aware_selection = true;
   std::uint64_t seed = 1;
 };
 
@@ -66,8 +60,7 @@ struct NetworkSweep {
 
 class NetworkRangingSession {
  public:
-  /// Precondition: validate_config(config).ok(). Prefer create() when the
-  /// configuration comes from user input.
+  /// Precondition: validate_config(config).ok().
   explicit NetworkRangingSession(NetworkConfig config);
   ~NetworkRangingSession();
 
@@ -75,11 +68,6 @@ class NetworkRangingSession {
   /// instead of aborting); the constructor keeps UWB_EXPECTS for the same
   /// conditions as programmer-error preconditions.
   [[nodiscard]] static Status validate_config(const NetworkConfig& config);
-
-  /// Validating factory: the Status-path alternative to the throwing
-  /// constructor.
-  [[nodiscard]] static Result<std::unique_ptr<NetworkRangingSession>> create(
-      NetworkConfig config);
 
   NetworkRangingSession(const NetworkRangingSession&) = delete;
   NetworkRangingSession& operator=(const NetworkRangingSession&) = delete;

@@ -26,10 +26,8 @@ struct ConcurrentRangingConfig {
   /// Slot separation delta [s] (ignored when num_slots == 1).
   double slot_spacing_s = 0.0;
   /// Pulse-shape bank s_i (N_PS = size). One entry = anonymous ranging.
+  /// The sessions' detectors match against exactly this bank.
   std::vector<std::uint8_t> shape_registers{k::tc_pgdelay_default};
-  /// Detector settings (shape_registers is mirrored into the detector by
-  /// the session).
-  DetectorConfig detector;
 
   int num_pulse_shapes() const { return static_cast<int>(shape_registers.size()); }
   int max_responders() const { return num_slots * num_pulse_shapes(); }

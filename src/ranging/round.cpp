@@ -12,6 +12,10 @@ namespace uwb::ranging {
 
 namespace {
 
+/// Listen time after the last RPM slot before the initiator's RX window
+/// times out.
+constexpr Seconds kRxExtraListen{5000e-6};
+
 /// What the attempt's RX handlers write while the simulator runs.
 struct AttemptState {
   sim::Simulator& sim;
@@ -202,12 +206,6 @@ void fill_reports(const AttemptState& st,
 
 }  // namespace
 
-DetectorConfig detector_config_for(const ConcurrentRangingConfig& ranging) {
-  DetectorConfig det = ranging.detector;
-  det.shape_registers = ranging.shape_registers;
-  return det;
-}
-
 std::unique_ptr<sim::Node> make_session_node(sim::Simulator& sim,
                                              sim::Medium& medium,
                                              sim::NodeConfig nc,
@@ -288,12 +286,12 @@ RangingAttempt run_ranging_attempt(sim::Simulator& sim, sim::Node& initiator,
         ranging.num_slots > 1
             ? (ranging.num_slots - 1) * ranging.slot_spacing_s
             : 0.0;
-    // Kept as a separate SimTime conversion (not folded into the double
-    // sum): with the default rx_extra_listen this reproduces the historical
-    // deadline bit for bit.
+    // The listen time is kept as a separate SimTime conversion (not folded
+    // into the double sum): that reproduces the historical deadline bit for
+    // bit.
     const SimTime deadline =
         t_tx + SimTime::from_seconds(ranging.response_delay_s + max_extra) +
-        to_sim_time(settings.rx_extra_listen);
+        to_sim_time(kRxExtraListen);
     sim.run_until(deadline);
   }
 

@@ -13,10 +13,6 @@
 
 namespace uwb::ranging {
 
-/// The search-and-subtract configuration a ranging config implies: its
-/// detector settings with the template bank of its pulse-shape plan.
-DetectorConfig detector_config_for(const ConcurrentRangingConfig& ranging);
-
 /// Where a node's own RNG stream is forked relative to its clock draws.
 /// Only the scenario's initiator forks first, as it always has.
 enum class NodeDrawOrder { kClockFirst, kStreamFirst };
@@ -47,9 +43,6 @@ struct AttemptSettings {
   /// Apply the receiver's CFO estimate to Eq. 2.
   bool cfo_correction = true;
   bool slot_aware_selection = false;
-  /// Listen time after the last RPM slot before the initiator's RX window
-  /// times out.
-  Seconds rx_extra_listen{};
   fault::FaultInjector* injector = nullptr;
   fault::AttackInjector* attacker = nullptr;
   const AttackDetector* attack_detector = nullptr;

@@ -53,7 +53,7 @@ struct SearchSubtractDetector::FastState {
 
 SearchSubtractDetector::SearchSubtractDetector(DetectorConfig config)
     : config_(std::move(config)) {
-  detail::validate_detector_config(config_);
+  UWB_EXPECTS(!config_.shape_registers.empty());
 }
 
 SearchSubtractDetector::~SearchSubtractDetector() = default;
@@ -103,7 +103,7 @@ SearchSubtractDetector::FastState& fast_state() {
 const SearchSubtractDetector::TemplateBank& SearchSubtractDetector::bank_for(
     double ts_s) const {
   UWB_EXPECTS(ts_s > 0.0);
-  const double ts_up = ts_s / config_.upsample_factor;
+  const double ts_up = ts_s / kUpsampleFactor;
   if (bank_ && std::abs(bank_->ts_up - ts_up) < 1e-18) return *bank_;
 
   BankCache& cache = bank_cache();
@@ -153,9 +153,9 @@ CVec SearchSubtractDetector::matched_filter_output(const CVec& cir_taps,
   UWB_EXPECTS(shape_index >= 0 &&
               shape_index < static_cast<int>(config_.shape_registers.size()));
   const TemplateBank& bank = bank_for(ts_s);
-  const CVec up = dsp::upsample_fft(cir_taps, config_.upsample_factor);
+  const CVec up = dsp::upsample_fft(cir_taps, kUpsampleFactor);
   CVec y = bank.entries[static_cast<std::size_t>(shape_index)].filter.apply(up);
-  y.resize(cir_taps.size() * static_cast<std::size_t>(config_.upsample_factor));
+  y.resize(cir_taps.size() * static_cast<std::size_t>(kUpsampleFactor));
   return y;
 }
 
@@ -167,7 +167,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect(
 SearchSubtractDetector::DetectionTrace SearchSubtractDetector::detect_with_trace(
     const CVec& cir_taps, double ts_s, int max_responses) const {
   DetectionTrace trace;
-  trace.ts_up = ts_s / config_.upsample_factor;
+  trace.ts_up = ts_s / kUpsampleFactor;
   trace.responses = detect_impl(cir_taps, ts_s, max_responses, &trace);
   return trace;
 }
@@ -215,7 +215,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     const CVec& cir_taps, const TemplateBank& bank, int max_responses,
     DetectionTrace* trace) const {
   const double ts_up = bank.ts_up;
-  CVec residual = dsp::upsample_fft(cir_taps, config_.upsample_factor);
+  CVec residual = dsp::upsample_fft(cir_taps, kUpsampleFactor);
 
   std::vector<DetectedResponse> found;
   found.reserve(static_cast<std::size_t>(max_responses));
@@ -314,11 +314,11 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
 void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
                                               const TemplateBank& bank,
                                               FastState& st) const {
-  const int factor = config_.upsample_factor;
   const std::size_t n2 = dsp::upsample_input_length(cir_taps.size());
-  const std::size_t kM = n2 * static_cast<std::size_t>(factor);
+  const std::size_t kM = n2 * static_cast<std::size_t>(kUpsampleFactor);
   // One padded length for the whole bank (sized by the longest template) so
-  // every template correlates against the same residual spectrum.
+  // every template correlates against the same residual spectrum. Templates
+  // span at least 3 samples, so kP >= 2 * kM.
   const std::size_t kP = dsp::next_pow2(kM + bank.max_len - 1);
   st.kM = kM;
   st.kP = kP;
@@ -330,30 +330,21 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
   spec_m.resize(kM);
   {
   UWB_OBS_SPAN("upsample");
-  if (factor == 1) {
-    residual.resize(kM);
-    std::copy(cir_taps.begin(), cir_taps.end(), residual.begin());
-    std::fill(residual.begin() + static_cast<std::ptrdiff_t>(cir_taps.size()),
-              residual.end(), Complex{});
-    std::copy(residual.begin(), residual.end(), spec_m.begin());
-    dsp::plan_for(kM).transform_pow2(spec_m.data(), false);
-  } else {
-    CVec& padded = st.padded_cir;
-    padded.resize(n2);
-    std::copy(cir_taps.begin(), cir_taps.end(), padded.begin());
-    std::fill(padded.begin() + static_cast<std::ptrdiff_t>(cir_taps.size()),
-              padded.end(), Complex{});
-    dsp::plan_for(n2).transform_pow2(padded.data(), false);
-    // Fold the upsampling gain into the CIR spectrum (n2 samples) instead
-    // of the stuffed spectrum (kM samples).
-    simd::scale(reinterpret_cast<double*>(padded.data()),
-                static_cast<double>(factor), n2);
-    dsp::upsample_spectrum(padded.data(), n2, factor, spec_m.data());
-    residual = spec_m;
-    dsp::plan_for(kM).transform_pow2(residual.data(), true);
-    const double inv_m = 1.0 / static_cast<double>(kM);
-    simd::scale(reinterpret_cast<double*>(residual.data()), inv_m, kM);
-  }
+  CVec& padded = st.padded_cir;
+  padded.resize(n2);
+  std::copy(cir_taps.begin(), cir_taps.end(), padded.begin());
+  std::fill(padded.begin() + static_cast<std::ptrdiff_t>(cir_taps.size()),
+            padded.end(), Complex{});
+  dsp::plan_for(n2).transform_pow2(padded.data(), false);
+  // Fold the upsampling gain into the CIR spectrum (n2 samples) instead
+  // of the stuffed spectrum (kM samples).
+  simd::scale(reinterpret_cast<double*>(padded.data()),
+              static_cast<double>(kUpsampleFactor), n2);
+  dsp::upsample_spectrum(padded.data(), n2, kUpsampleFactor, spec_m.data());
+  residual = spec_m;
+  dsp::plan_for(kM).transform_pow2(residual.data(), true);
+  const double inv_m = 1.0 / static_cast<double>(kM);
+  simd::scale(reinterpret_cast<double*>(residual.data()), inv_m, kM);
   }
 
   // Forward spectrum of the zero-padded residual at the bank length P.
@@ -366,9 +357,7 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
   spec_p.resize(kP);
   {
   UWB_OBS_SPAN("fft");
-  if (kP == kM) {
-    std::copy(spec_m.begin(), spec_m.end(), spec_p.begin());
-  } else if (kP == 2 * kM) {
+  if (kP == 2 * kM) {
     CVec& modulated = st.padded_cir;  // padded_cir is dead past step 1
     modulated.resize(kM);
     const double* w =

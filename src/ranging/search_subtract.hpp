@@ -9,6 +9,9 @@
 // floor. Detection is amplitude-independent: responses are accepted by rank,
 // not by absolute power bounds (open challenge IV).
 //
+// The CIR is upsampled by kUpsampleFactor (ranging/detector.hpp) before
+// matched filtering; the template bank is the config's shape_registers.
+//
 // Two equivalent execution paths (DESIGN.md Sect. 8): the default fast path
 // forward-transforms the residual once per iteration and reuses that
 // spectrum across the whole template bank (fusing the CIR upsample into the
@@ -59,7 +62,7 @@ class SearchSubtractDetector {
 
   /// Matched-filter output of template `shape_index` over the (upsampled)
   /// CIR — exposed for visualisation benches (paper Fig. 4b/6b). Returns
-  /// cir_taps.size() * upsample_factor samples: the CIR window's share of
+  /// cir_taps.size() * kUpsampleFactor samples: the CIR window's share of
   /// the zero-padded upsampled grid.
   CVec matched_filter_output(const CVec& cir_taps, double ts_s,
                              int shape_index) const;

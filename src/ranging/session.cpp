@@ -36,9 +36,6 @@ const char* to_string(RangingStatus status) {
 
 void ResilienceConfig::validate() const {
   UWB_EXPECTS(max_retries >= 0);
-  UWB_EXPECTS(retry_backoff > Seconds(0.0));
-  UWB_EXPECTS(backoff_factor >= 1.0);
-  UWB_EXPECTS(rx_extra_listen > Seconds(0.0));
 }
 
 Status ConcurrentRangingScenario::validate_config(const ScenarioConfig& config) {
@@ -47,7 +44,6 @@ Status ConcurrentRangingScenario::validate_config(const ScenarioConfig& config) 
   };
   try {
     config.ranging.validate();
-    detail::validate_detector_config(detector_config_for(config.ranging));
     config.resilience.validate();
     config.fault.validate();
     config.attack.validate();
@@ -90,7 +86,7 @@ ConcurrentRangingScenario::create(ScenarioConfig config) {
 
 ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      detector_(detector_config_for(config_.ranging)) {
+      detector_(DetectorConfig{config_.ranging.shape_registers}) {
   config_.ranging.validate();
   config_.resilience.validate();
   UWB_EXPECTS(!config_.responders.empty());
@@ -127,7 +123,6 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
     nc.cir = config_.cir;
     nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
-    nc.antenna_delay = config_.antenna_delay;
     return nc;
   };
 
@@ -188,7 +183,6 @@ RoundOutcome ConcurrentRangingScenario::run_round() {
                                : static_cast<int>(responders_.size());
   settings.cfo_correction = config_.cfo_correction;
   settings.slot_aware_selection = config_.slot_aware_selection;
-  settings.rx_extra_listen = config_.resilience.rx_extra_listen;
   settings.injector = injector_.get();
   settings.attacker = attacker_.get();
   settings.attack_detector = attack_detector_.get();
@@ -200,8 +194,7 @@ RoundOutcome ConcurrentRangingScenario::run_round() {
       // Deterministic exponential backoff in simulated time before the
       // next attempt: backoff * factor^(k-1) for retry k.
       const Seconds backoff =
-          config_.resilience.retry_backoff *
-          std::pow(config_.resilience.backoff_factor, attempt - 2);
+          kRetryBackoff * std::pow(kBackoffFactor, attempt - 2);
       sim_.run_until(sim_.now() + to_sim_time(backoff));
       ++stats_.retry_attempts;
       UWB_OBS_COUNT("session_retry_attempts", 1);

@@ -60,19 +60,17 @@ struct ResponderReport {
   RangingStatus status = RangingStatus::kTimedOut;
 };
 
-/// Retry/timeout policy of the resilient session. Defaults reproduce the
+/// Simulated-time backoff before retry k (1-based):
+/// kRetryBackoff * kBackoffFactor^(k-1). Deterministic — no randomness.
+inline constexpr Seconds kRetryBackoff{500e-6};
+inline constexpr double kBackoffFactor = 2.0;
+
+/// Retry policy of the resilient session. The default reproduces the
 /// historical single-attempt behaviour bit for bit.
 struct ResilienceConfig {
   /// Additional protocol attempts after a failed round (0 = no retry). A
   /// round fails when its sync payload did not decode.
   int max_retries = 0;
-  /// Simulated-time backoff before retry k (1-based):
-  /// retry_backoff * backoff_factor^(k-1). Deterministic — no randomness.
-  Seconds retry_backoff{500e-6};
-  double backoff_factor = 2.0;
-  /// Extra listen time after the last RPM slot before the initiator's RX
-  /// window times out.
-  Seconds rx_extra_listen{5000e-6};
 
   void validate() const;
 };
@@ -123,10 +121,6 @@ struct ScenarioConfig {
   /// Apply the receiver's carrier-frequency-offset estimate to Eq. 2
   /// (ablation switch: off shows SS-TWR's raw drift sensitivity).
   bool cfo_correction = true;
-  /// Physical per-device antenna delay applied to every node (0 =
-  /// calibrated-out, the default for algorithm experiments). Two identical
-  /// uncalibrated devices inflate every SS-TWR distance by c * delay.
-  Seconds antenna_delay{};
   /// Fault-injection plan (inert by default; see src/fault/fault.hpp). An
   /// all-zero plan leaves every RNG stream untouched, so results are
   /// byte-identical to a build without the subsystem.
@@ -138,7 +132,7 @@ struct ScenarioConfig {
   /// Attack cross-checks (off by default; see ranging/attack_detector.hpp).
   /// Indicted responders report RangingStatus::kSuspect instead of kOk.
   AttackDetectorConfig attack_detector;
-  /// Retry/timeout/degradation policy.
+  /// Retry policy.
   ResilienceConfig resilience;
   std::uint64_t seed = 1;
 };

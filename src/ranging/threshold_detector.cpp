@@ -21,7 +21,7 @@ constexpr double kBaselineRelativeThreshold = 0.3;
 
 ThresholdDetector::ThresholdDetector(DetectorConfig config)
     : config_(std::move(config)) {
-  detail::validate_detector_config(config_);
+  UWB_EXPECTS(!config_.shape_registers.empty());
 }
 
 std::vector<DetectedResponse> ThresholdDetector::detect(const CVec& cir_taps,
@@ -29,8 +29,8 @@ std::vector<DetectedResponse> ThresholdDetector::detect(const CVec& cir_taps,
                                                         int max_responses) const {
   UWB_EXPECTS(!cir_taps.empty());
   UWB_EXPECTS(max_responses >= 1);
-  const double ts_up = ts_s / config_.upsample_factor;
-  const CVec up = dsp::upsample_fft(cir_taps, config_.upsample_factor);
+  const double ts_up = ts_s / kUpsampleFactor;
+  const CVec up = dsp::upsample_fft(cir_taps, kUpsampleFactor);
   const RVec mag = dsp::magnitude(up);
   const double noise = dsp::noise_sigma_estimate(up);
   const double peak = *std::max_element(mag.begin(), mag.end());

@@ -14,15 +14,13 @@ namespace uwb::ranging {
 
 class ThresholdDetector {
  public:
-  /// Uses upsample_factor and the *first* shape register (for the window
-  /// length) of the config; the threshold is kNoiseThresholdFactor noise
-  /// sigmas (or a fraction of the peak).
+  /// Upsamples by kUpsampleFactor and sizes the scan window by the *first*
+  /// shape register of the config; the threshold is kNoiseThresholdFactor
+  /// noise sigmas (or a fraction of the peak).
   explicit ThresholdDetector(DetectorConfig config);
 
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,
                                        int max_responses) const;
-
-  const DetectorConfig& config() const { return config_; }
 
  private:
   DetectorConfig config_;

@@ -28,8 +28,7 @@ constexpr double kRangeMarginDb = 16.0;
 
 Medium::Medium(Simulator& simulator, channel::ChannelModel model,
                MediumParams params, Rng rng)
-    : sim_(simulator), model_(std::move(model)), params_(params),
-      fanout_(obs::fanout_buckets()) {
+    : sim_(simulator), model_(std::move(model)), params_(params) {
   UWB_EXPECTS(params.detection_threshold_amp >= 0.0);
   // Nothing below the threshold is ever detected, so the medium's links may
   // skip diffuse tails that provably stay below it.
@@ -271,10 +270,6 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
       }
     }
   }
-
-  // First-class copy of the fan-out histogram: stays live in
-  // UWB_OBS_DISABLED builds (the registry copy below compiles out).
-  fanout_.observe(static_cast<double>(delivered));
 
   UWB_OBS_COUNT("medium_frames_delivered", delivered);
   UWB_OBS_COUNT("medium_receivers_culled", culled);

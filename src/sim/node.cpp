@@ -21,6 +21,14 @@ namespace {
 /// Processing margin after the last sample of a frame before the receiver
 /// reports the result.
 const SimTime kFinalizeMargin = SimTime::from_micros(2.0);
+/// Noise (1 sigma, ppm) of the carrier-frequency-offset estimate the
+/// receiver reports for drift compensation.
+constexpr double kCfoNoisePpm = 0.05;
+/// Minimum SIR [dB] of the sync frame against the strongest other
+/// concurrent frame for its payload to decode. Preamble-locked
+/// demodulation is robust well below 0 dB — the feasibility study decoded
+/// payloads from equal-power concurrent responders.
+constexpr double kDecodeMinSirDb = -10.0;
 }  // namespace
 
 Node::Node(Simulator& simulator, Medium& medium, NodeConfig config, Rng rng)
@@ -66,12 +74,9 @@ void Node::transmit_at(const dw::MacFrame& frame, SimTime preamble_start_global)
       to_seconds(local_duration(Seconds(config_.phy.shr_duration_s())));
   const Seconds frame_global = to_seconds(local_duration(
       Seconds(config_.phy.frame_duration_s(frame.payload_bytes()))));
-  // The wave leaves the antenna half the antenna delay after the digital
-  // timestamp reference (the other half applies on reception).
-  const SimTime radiated =
-      preamble_start_global + to_sim_time(config_.antenna_delay / 2.0);
-  medium_.transmit(config_.id, frame, config_.phy.tc_pgdelay, radiated,
-                   shr_global, frame_global, config_.drift_ppm);
+  medium_.transmit(config_.id, frame, config_.phy.tc_pgdelay,
+                   preamble_start_global, shr_global, frame_global,
+                   config_.drift_ppm);
   energy_.add_tx(frame_global.value());
 }
 
@@ -209,10 +214,9 @@ void Node::finalize_batch() {
   result.cir_first_path_index = static_cast<double>(config_.cir_anchor_taps);
   result.rx_timestamp =
       dw::noisy_rx_timestamp(config_.timestamping, sync->tc_pgdelay,
-                             clock_.device_time(sync->rmarker_arrival), rng_)
-          .plus_seconds(config_.antenna_delay / 2.0);
+                             clock_.device_time(sync->rmarker_arrival), rng_);
   result.carrier_offset_ppm = sync->tx_drift_ppm - config_.drift_ppm +
-                              rng_.normal(0.0, config_.cfo_noise_ppm);
+                              rng_.normal(0.0, kCfoNoisePpm);
   result.frames_in_batch = static_cast<int>(pending_.size());
   result.sync_tx_node_id = sync->tx_node_id;
   result.sync_chain = sync->chain;
@@ -222,7 +226,7 @@ void Node::finalize_batch() {
   result.completed_at = sim_.now();
 
   // Payload decode: the sync frame survives if its first-path power clears
-  // the configured SIR against the strongest other frame. (Concurrent RESP
+  // kDecodeMinSirDb against the strongest other frame. (Concurrent RESP
   // payloads are chip-offset copies, so corruption is dominated by the
   // strongest colliding frame rather than the incoherent sum — consistent
   // with the paper's observation that one payload stays decodable even with
@@ -242,13 +246,13 @@ void Node::finalize_batch() {
                             ? 0.0
                             : linear_to_db(sync_power / interference);
   bool decodable =
-      interference == 0.0 || sir_db >= config_.decode_min_sir_db;
+      interference == 0.0 || sir_db >= kDecodeMinSirDb;
   if (!decodable) {
     UWB_FR_EVENT(.kind = obs::FrKind::kRx, .name = "rx_decode_failed",
                  .chain = sync->chain, .node = config_.id,
                  .peer = sync->tx_node_id, .detail = "low_sir",
                  .v0 = {"sir_db", sir_db},
-                 .v1 = {"min_sir_db", config_.decode_min_sir_db});
+                 .v1 = {"min_sir_db", kDecodeMinSirDb});
   }
   // Injected CRC fault: the payload demodulates but its FCS fails, so the
   // MAC discards it. Either failure path surfaces as crc_error.

@@ -1,4 +1,7 @@
 // A simulated UWB node: DW1000 radio model + free-running clock + position.
+// Antennas are calibrated out (the digital timestamp reference is the
+// antenna), so experiments measure the algorithms, not the commissioning
+// procedure.
 //
 // Exposes the firmware-level API the ranging protocols program against:
 // enter/exit RX, immediate TX, delayed TX (with the hardware truncation),
@@ -33,17 +36,9 @@ struct NodeConfig {
   dw::PhyConfig phy;
   dw::CirParams cir;
   dw::TimestampModelParams timestamping;
-  /// Noise (1 sigma, ppm) of the carrier-frequency-offset estimate the
-  /// receiver reports for drift compensation.
-  double cfo_noise_ppm = 0.05;
   /// Tap index where the receiver anchors the sync frame's first path in
   /// the CIR window.
   int cir_anchor_taps = 64;
-  /// Minimum SIR [dB] of the sync frame against the strongest other
-  /// concurrent frame for its payload to decode. Preamble-locked
-  /// demodulation is robust well below 0 dB — the feasibility study decoded
-  /// payloads from equal-power concurrent responders.
-  double decode_min_sir_db = -10.0;
   /// A concurrent frame this much stronger than the earliest one captures
   /// synchronisation (amplitude ratio). High by default: the receiver locks
   /// to the earliest detectable preamble of the aggregate (the CIR window
@@ -52,13 +47,6 @@ struct NodeConfig {
   /// Model the hardware delayed-TX truncation (low 9 bits ignored). Turning
   /// this off is an ablation: ideal sub-tick transmit timing.
   bool delayed_tx_truncation = true;
-  /// Physical antenna delay: the signal leaves/reaches the antenna this
-  /// long after/before the digital timestamp reference. Uncalibrated
-  /// devices carry ~515 ns (DW1000 default); ranging code must subtract the
-  /// calibrated value (APS014) or every TWR distance is biased by
-  /// c * (sum of delays) / 2. Zero by default so paper-reproduction
-  /// experiments measure the algorithms, not the commissioning procedure.
-  Seconds antenna_delay{};
 };
 
 /// Outcome of one receive operation (one frame, or one concurrent batch).

@@ -110,11 +110,6 @@ TEST(PeaksTest, ArgmaxAbs) {
   EXPECT_THROW(argmax_abs(CVec{}), PreconditionError);
 }
 
-TEST(PeaksTest, ArgmaxReal) {
-  EXPECT_EQ(argmax(RVec{1.0, 9.0, 3.0}), 1u);
-  EXPECT_THROW(argmax(RVec{}), PreconditionError);
-}
-
 TEST(PeaksTest, LocalMaximaRespectsThresholdAndDistance) {
   CVec x(50, Complex{});
   x[10] = 10.0;
@@ -163,7 +158,6 @@ TEST(StatsTest, BasicMoments) {
   EXPECT_NEAR(variance(x), 32.0 / 7.0, 1e-12);
   EXPECT_NEAR(stddev(x), std::sqrt(32.0 / 7.0), 1e-12);
   EXPECT_DOUBLE_EQ(rms(RVec{3.0, 4.0}), std::sqrt(12.5));
-  EXPECT_DOUBLE_EQ(max_abs(RVec{-5.0, 3.0}), 5.0);
 }
 
 TEST(StatsTest, SingleElementEdgeCases) {

@@ -273,7 +273,7 @@ TEST(EnergyTest, RxDominatesTxPerSecond) {
 TEST(EnergyTest, ResetClears) {
   EnergyMeter meter;
   meter.add_tx(0.5);
-  meter.add_idle(100.0);
+  meter.add_rx(0.25);
   meter.reset();
   EXPECT_DOUBLE_EQ(meter.charge_c(), 0.0);
   EXPECT_EQ(meter.tx_count(), 0);
@@ -283,7 +283,6 @@ TEST(EnergyTest, NegativeDurationThrows) {
   EnergyMeter meter;
   EXPECT_THROW(meter.add_tx(-1.0), PreconditionError);
   EXPECT_THROW(meter.add_rx(-1.0), PreconditionError);
-  EXPECT_THROW(meter.add_idle(-1.0), PreconditionError);
 }
 
 TEST(EnergyTest, CustomParams) {

@@ -86,19 +86,6 @@ TEST(FastPathEquivalence, MatchesExactWithSingleTemplateBank) {
   }
 }
 
-TEST(FastPathEquivalence, MatchesExactWithoutUpsampling) {
-  // factor == 1 skips the upsample fusion and takes the plain copy branch.
-  DetectorConfig cfg = multi_shape_config();
-  cfg.upsample_factor = 1;
-  SearchSubtractDetector det{cfg};
-  for (std::uint64_t seed = 200; seed <= 204; ++seed) {
-    const auto cir = random_cir(seed, 2, 4);
-    expect_same_responses(det.detect(cir.taps, cir.ts_s, 5),
-                          det.detect_with_trace(cir.taps, cir.ts_s, 5).responses,
-                          seed);
-  }
-}
-
 TEST(FastPathEquivalence, TracedDetectEqualsExactPath) {
   // Tracing always runs the exact path: its responses are the fast path's
   // to roundoff, and it records one filter output per iteration.

@@ -174,17 +174,15 @@ TEST(FaultSessionTest, PartialLossKeepsSurvivors) {
 
 TEST(FaultSessionTest, RetryBackoffScheduleIsDeterministic) {
   // Force total loss so every attempt fails, then verify the simulated
-  // clock advanced by exactly sum of backoff * factor^(k-1) plus the
-  // attempts' round time — i.e. the backoff schedule is the documented
-  // closed form, not incidental.
+  // clock advanced by exactly sum of kRetryBackoff * kBackoffFactor^(k-1)
+  // plus the attempts' round time — i.e. the backoff schedule is the
+  // documented closed form, not incidental.
   ScenarioConfig cfg = office(31, 2);
   cfg.fault.enabled = true;
   cfg.fault.dropout_prob = 1.0;
   cfg.fault.dropout_rounds_min = 50;
   cfg.fault.dropout_rounds_max = 50;
   cfg.resilience.max_retries = 3;
-  cfg.resilience.retry_backoff = Seconds(400e-6);
-  cfg.resilience.backoff_factor = 2.0;
 
   // Reference: identical scenario with no retries = one attempt's duration.
   ScenarioConfig ref_cfg = cfg;
@@ -197,7 +195,9 @@ TEST(FaultSessionTest, RetryBackoffScheduleIsDeterministic) {
   const RoundOutcome out = scenario.run_round();
   EXPECT_EQ(out.attempts, 4);
   const double expected_s =
-      4.0 * attempt_s + (400e-6) * (1.0 + 2.0 + 4.0);
+      4.0 * attempt_s +
+      kRetryBackoff.value() *
+          (1.0 + kBackoffFactor + kBackoffFactor * kBackoffFactor);
   EXPECT_NEAR(scenario.simulator().now().seconds(), expected_s,
               1e-9);
 }
@@ -383,11 +383,11 @@ TEST(FaultConfigTest, ValidateConfigStatusPath) {
   bad_fault.fault.crc_error_prob = 2.0;
   EXPECT_FALSE(ConcurrentRangingScenario::validate_config(bad_fault).ok());
 
-  ScenarioConfig bad_upsample = cfg;
-  bad_upsample.ranging.detector.upsample_factor = 3;
-  const Status s2 = ConcurrentRangingScenario::validate_config(bad_upsample);
+  ScenarioConfig no_shapes = cfg;
+  no_shapes.ranging.shape_registers = {};
+  const Status s2 = ConcurrentRangingScenario::validate_config(no_shapes);
   EXPECT_EQ(s2.code(), ErrorCode::kInvalidConfig);
-  EXPECT_EQ(ConcurrentRangingScenario::create(bad_upsample).status().code(),
+  EXPECT_EQ(ConcurrentRangingScenario::create(no_shapes).status().code(),
             ErrorCode::kInvalidConfig);
 
   ScenarioConfig bad_resilience = cfg;

@@ -144,21 +144,6 @@ TEST(SessionEdgeTest, PowerImbalancedRespondersBothRanged) {
   EXPECT_TRUE(far_found);
 }
 
-TEST(SessionEdgeTest, UncalibratedAntennaDelayBiasesAndIsCorrectable) {
-  // Uncalibrated 100 ns antenna delays inflate every SS-TWR distance by
-  // ~c * 100 ns ~= 30 m; the APS014-style commissioning recovers the delay
-  // from a known-distance link.
-  ScenarioConfig cfg = base_scenario(51);
-  cfg.antenna_delay = Seconds(100e-9);
-  cfg.responders = {{0, {7.0, 5.0}}};  // true distance 5 m
-  ConcurrentRangingScenario scenario(cfg);
-  const auto out = scenario.run_round();
-  ASSERT_TRUE(out.payload_decoded);
-  EXPECT_NEAR(out.d_twr_m, 5.0 + 299'702'547.0 * 100e-9, 0.2);
-  // Commission against the known 5 m link: d_meas = d_true + c * delay.
-  EXPECT_NEAR((out.d_twr_m - 5.0) / 299'702'547.0, 100e-9, 1e-9);
-}
-
 TEST(SessionEdgeTest, SameSeedSameOutcomeAcrossConfigCopies) {
   ScenarioConfig cfg = base_scenario(49);
   cfg.responders = {{0, {9.0, 5.0}}};

@@ -205,6 +205,9 @@ TEST(RpmSessionTest, PulseShapeOnlyIdentities) {
   cfg.ranging.num_slots = 1;
   cfg.responders = {{0, {5.0, 5.0}}, {1, {8.0, 5.0}}, {2, {11.0, 5.0}}};
   ConcurrentRangingScenario scenario(cfg);
+  // The detector matches against exactly the configured pulse-shape bank.
+  EXPECT_EQ(scenario.detector().config().shape_registers,
+            cfg.ranging.shape_registers);
   int correct = 0, rounds = 0;
   for (int t = 0; t < 10; ++t) {
     const RoundOutcome out = scenario.run_round();

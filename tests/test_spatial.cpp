@@ -14,6 +14,8 @@
 #include "common/hash.hpp"
 #include "common/units.hpp"
 #include "geom/grid.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
 #include "sim/floorplan.hpp"
@@ -354,6 +356,7 @@ TEST(CullingIdentityTest, MovedNodeRejoinsNeighborhood) {
 }
 
 TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
+  obs::MetricsRegistry::instance().reset();
   MediumStats stats;
   const FloorPlan plan = make_floor_plan(plan_for_nodes(40));
   const auto positions = place_nodes(plan, 40, 9);
@@ -401,12 +404,16 @@ TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
   // receivers of every frame lands in exactly one bucket.
   EXPECT_EQ(cell_delivered + cell_culled + cell_below, 40u * 39u);
 
-  // The fan-out histogram is plain Medium state (not an UWB_OBS_* macro),
-  // so it must be live in every build flavour, one observation per
+  // The registry's fan-out histogram holds one observation per
   // transmitted frame, summing to the delivered totals.
-  EXPECT_EQ(medium.frame_fanout().count(), stats.frames_transmitted);
-  EXPECT_DOUBLE_EQ(medium.frame_fanout().sum(),
-                   static_cast<double>(stats.frames_delivered));
+  if constexpr (obs::kEnabled) {
+    const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
+    const obs::Histogram* fanout = snap.histogram("medium_frame_fanout");
+    ASSERT_NE(fanout, nullptr);
+    EXPECT_EQ(fanout->count(), stats.frames_transmitted);
+    EXPECT_DOUBLE_EQ(fanout->sum(),
+                     static_cast<double>(stats.frames_delivered));
+  }
 }
 
 // ---------------------------------------------------------------------------
