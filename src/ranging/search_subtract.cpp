@@ -38,8 +38,9 @@ struct SearchSubtractDetector::TemplateBank {
 };
 
 // Per-CIR working set of the fast detection path: the residual, its
-// spectra, the per-template correlation outputs, and the subtraction
-// window. One per thread, so a warm thread allocates nothing.
+// spectra, the per-template correlation outputs with their per-block
+// maxima, and the subtraction window. One per thread, so a warm thread
+// allocates nothing.
 struct SearchSubtractDetector::FastState {
   CVec padded_cir;
   CVec residual;
@@ -47,6 +48,10 @@ struct SearchSubtractDetector::FastState {
   CVec spec_p;   // spectrum of the zero-padded residual at the bank length P
   CVec delta;    // subtracted waveform inside the update window
   std::vector<CVec> ys;  // one correlation output per template
+  // Per template, the first |y|^2 maximum of each dsp::kMaxBlock-sample
+  // block of ys[i]: a subtraction dirties a window of a few hundred
+  // samples, so it refreshes two or three blocks per template.
+  std::vector<std::vector<dsp::BlockMax>> block_max;
   std::size_t kM = 0;    // upsampled residual length
   std::size_t kP = 0;    // padded bank-correlation length
 };
@@ -385,13 +390,19 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
 void SearchSubtractDetector::bank_correlate(const TemplateBank& bank,
                                             FastState& st) const {
   // Step 2 (first iteration): one pointwise multiply + inverse transform
-  // per template against the shared residual spectrum.
+  // per template against the shared residual spectrum, then the maxima of
+  // every block of each output.
   const std::size_t n_shapes = bank.entries.size();
   if (st.ys.size() < n_shapes) st.ys.resize(n_shapes);
+  if (st.block_max.size() < n_shapes) st.block_max.resize(n_shapes);
+  const std::size_t n_blocks = (st.kM + dsp::kMaxBlock - 1) / dsp::kMaxBlock;
   UWB_OBS_SPAN("bank_correlate");
-  for (std::size_t i = 0; i < n_shapes; ++i)
+  for (std::size_t i = 0; i < n_shapes; ++i) {
     bank.entries[i].filter.apply_spectrum(st.spec_p.data(), st.kP, st.kM,
                                           st.ys[i]);
+    st.block_max[i].resize(n_blocks);
+    dsp::update_block_maxima(st.ys[i], 0, st.kM, st.block_max[i]);
+  }
 }
 
 std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
@@ -405,32 +416,48 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
   found.reserve(static_cast<std::size_t>(max_responses));
   double strongest = 0.0;
   for (int k = 0; k < max_responses; ++k) {
-    // Step 2/3: global maximum over templates and positions. |y|^2 compare:
-    // same argmax, no hypot per sample.
+    // Step 2/3: global maximum over templates and positions, read off the
+    // block maxima: each template's first maximum, the first template
+    // holding the largest one — what a full argmax_norm per template picks.
     PeakSelection best;
     double best_norm = -1.0;
     {
     UWB_OBS_SPAN("peak_pick");
     for (std::size_t i = 0; i < n_shapes; ++i) {
-      const double* y = reinterpret_cast<const double*>(st.ys[i].data());
-      const std::size_t idx = simd::argmax_norm(y, kM);
-      const double max_norm =
-          y[2 * idx] * y[2 * idx] + y[2 * idx + 1] * y[2 * idx + 1];
-      if (max_norm > best_norm) {
-        best_norm = max_norm;
-        best = {static_cast<int>(i), idx, 0.0};
+      const dsp::BlockMax peak = dsp::peak_of_block_maxima(st.block_max[i]);
+      if (peak.norm > best_norm) {
+        best_norm = peak.norm;
+        best = {static_cast<int>(i), peak.index, 0.0};
       }
     }
     }
     UWB_ENSURES(best.shape >= 0);
     const CVec& best_y = st.ys[static_cast<std::size_t>(best.shape)];
     best.mag = std::abs(best_y[best.index]);
+#ifndef NDEBUG
+    // Debug contract: each template's block pick is its full-length pick.
+    for (std::size_t i = 0; i < n_shapes; ++i)
+      assert(dsp::peak_of_block_maxima(st.block_max[i]).index ==
+                 simd::argmax_norm(
+                     reinterpret_cast<const double*>(st.ys[i].data()), kM) &&
+             "block-maxima peak pick diverged from a full argmax_norm");
+#endif
 
-    const double noise = dsp::noise_sigma_estimate(best_y);
-    if (best.mag < kNoiseThresholdFactor * noise) {
+    // Noise-floor stop by counting (dsp::below_noise_floor); the exact
+    // median is selected only for the recorder's threshold payload.
+    const bool below_noise =
+        dsp::below_noise_floor(best_y, best.mag, kNoiseThresholdFactor);
+    assert(below_noise == (best.mag < kNoiseThresholdFactor *
+                                          dsp::noise_sigma_estimate(best_y)) &&
+           "counted noise-floor stop diverged from the selected median");
+    const double noise_threshold =
+        UWB_FR_ACTIVE()
+            ? kNoiseThresholdFactor * dsp::noise_sigma_estimate(best_y)
+            : 0.0;
+    if (below_noise) {
       UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_rejected",
                    .detail = "below_noise", .v0 = {"mag", best.mag},
-                   .v1 = {"threshold", kNoiseThresholdFactor * noise},
+                   .v1 = {"threshold", noise_threshold},
                    .v2 = {"shape", static_cast<double>(best.shape)});
       break;
     }
@@ -460,7 +487,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
         config_.shape_registers.size() > 1 ? best.shape : -1;
     UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_accepted",
                  .v0 = {"mag", best.mag},
-                 .v1 = {"threshold", kNoiseThresholdFactor * noise},
+                 .v1 = {"threshold", noise_threshold},
                  .v2 = {"tau_s", resp.tau_s},
                  .v3 = {"shape", static_cast<double>(best.shape)});
     found.push_back(resp);
@@ -488,7 +515,8 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     // Incremental update: the subtraction only changed residual samples
     // [n0+m_lo, n0+m_hi), so each template's correlation output changes
     // only where its window overlaps that range — a short windowed
-    // correlation (O(K L^2) per iteration) instead of K full transforms.
+    // correlation (O(K L^2) per iteration) instead of K full transforms —
+    // and only the block maxima over that range go stale.
     const double* dd = reinterpret_cast<const double*>(delta.data());
     for (std::size_t i = 0; i < n_shapes; ++i) {
       const auto len_i =
@@ -501,6 +529,8 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
       const std::ptrdiff_t j_hi = std::min(res_n, n0 + m_hi);
       simd::corr_window_update(yd, dd, sd, j_lo, j_hi, n0 + m_lo, n0 + m_hi,
                                len_i);
+      dsp::update_block_maxima(st.ys[i], static_cast<std::size_t>(j_lo),
+                               static_cast<std::size_t>(j_hi), st.block_max[i]);
 #ifndef NDEBUG
       // Debug contract: the incrementally maintained output equals a fresh
       // correlation of the updated residual to floating-point roundoff.

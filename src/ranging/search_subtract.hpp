@@ -13,15 +13,19 @@
 // matched filtering; the template bank is the config's shape_registers.
 //
 // Two equivalent execution paths (DESIGN.md Sect. 8): the default fast path
-// forward-transforms the residual once per iteration and reuses that
-// spectrum across the whole template bank (fusing the CIR upsample into the
-// first correlation transform), then maintains every template's correlation
-// output *incrementally* after each subtraction — a subtraction only
-// perturbs a ~2-template-length window, so the update is a short windowed
-// correlation instead of K full FFTs. The exact reference path, run by
+// forward-transforms the residual once and reuses that spectrum across the
+// whole template bank (fusing the CIR upsample into the correlation
+// transform), then per iteration recomputes only what the last subtraction
+// changed. A subtraction only perturbs a ~2-template-length window, so each
+// template's correlation output is updated by a short windowed correlation
+// instead of a full FFT, and only the per-block maxima of |y|^2 over that
+// window are refreshed for the next peak pick. The noise-floor stop counts
+// samples against a precomputed |y|^2 bound instead of selecting the
+// median (dsp::below_noise_floor). The exact reference path, run by
 // detect_with_trace() and kept as the test oracle, re-runs every matched
-// filter from scratch per iteration; debug builds assert the two paths
-// agree to roundoff.
+// filter, full argmax and median from scratch per iteration; debug builds
+// assert the two paths agree (outputs to roundoff, peak pick and stop
+// decision exactly).
 #pragma once
 
 #include <cstddef>

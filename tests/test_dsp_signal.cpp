@@ -152,6 +152,66 @@ TEST(PeaksTest, NoiseSigmaRobustToStrongTaps) {
   EXPECT_NEAR(noise_sigma_estimate(x), 0.1, 0.02);
 }
 
+// The counted noise-floor stop must decide exactly as the selected median
+// does, including at the threshold itself and one ulp either side.
+void expect_counted_stop_matches_median(const CVec& x, double factor) {
+  const double threshold = factor * noise_sigma_estimate(x);
+  const double mags[] = {0.0,
+                         0.5 * threshold,
+                         std::nextafter(threshold, 0.0),
+                         threshold,
+                         std::nextafter(threshold, HUGE_VAL),
+                         2.0 * threshold,
+                         HUGE_VAL};
+  for (const double mag : mags) {
+    EXPECT_EQ(below_noise_floor(x, mag, factor),
+              mag < factor * noise_sigma_estimate(x))
+        << "n=" << x.size() << " factor=" << factor << " mag=" << mag
+        << " threshold=" << threshold;
+  }
+}
+
+TEST(PeaksTest, CountedNoiseStopMatchesMedianOnRandomVectors) {
+  Rng rng(21);
+  for (const std::size_t n : {1ul, 2ul, 3ul, 4ul, 7ul, 8ul, 101ul, 1024ul,
+                              1025ul, 8192ul}) {
+    CVec x(n);
+    for (auto& v : x) v = rng.complex_normal(0.2);
+    for (const double factor : {1.0, 5.0, 7.3}) {
+      expect_counted_stop_matches_median(x, factor);
+      // Arbitrary magnitudes around the threshold, not only the probes.
+      const double threshold = factor * noise_sigma_estimate(x);
+      for (int i = 0; i < 20; ++i) {
+        const double mag = rng.uniform(0.0, 2.0 * threshold);
+        EXPECT_EQ(below_noise_floor(x, mag, factor), mag < threshold)
+            << "n=" << n << " mag=" << mag;
+      }
+    }
+  }
+}
+
+TEST(PeaksTest, CountedNoiseStopMatchesMedianOnEqualNorms) {
+  // Every |x|^2 is the median: the count is all or nothing.
+  for (const std::size_t n : {1ul, 6ul, 9ul}) {
+    expect_counted_stop_matches_median(CVec(n, Complex{0.3, -0.4}), 5.0);
+    expect_counted_stop_matches_median(CVec(n, Complex{}), 5.0);
+  }
+  // Equal norms from different samples (|x|^2 = 25 throughout).
+  expect_counted_stop_matches_median(
+      CVec{{3.0, 4.0}, {4.0, 3.0}, {0.0, 5.0}, {-5.0, 0.0}}, 5.0);
+}
+
+TEST(PeaksTest, CountedNoiseStopMatchesMedianWithStrongTaps) {
+  // A few strong taps above the median, as in a filter output with
+  // responses left: they must not move the decision.
+  Rng rng(22);
+  CVec x(2048);
+  for (auto& v : x) v = rng.complex_normal(0.1);
+  for (int i = 0; i < 20; ++i)
+    x[static_cast<std::size_t>(i * 100)] = {50.0, 0.0};
+  expect_counted_stop_matches_median(x, 5.0);
+}
+
 TEST(StatsTest, BasicMoments) {
   const RVec x{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(x), 5.0);

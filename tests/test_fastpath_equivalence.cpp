@@ -1,21 +1,28 @@
 // Equivalence tests: the shared-spectrum + incremental fast detection path
 // against the exact per-iteration recompute path that detect_with_trace()
-// runs (DESIGN.md Sect. 8), the spectrum-reusing matched-filter entry point
-// against the self-contained one, and bit-identical Monte-Carlo detection
-// across thread counts.
+// runs (DESIGN.md Sect. 8) — on every exit of the search and on the
+// flight-recorder payloads of its peak decisions — the spectrum-reusing
+// matched-filter entry point against the self-contained one, and
+// bit-identical Monte-Carlo detection across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/matched_filter.hpp"
+#include "dsp/peaks.hpp"
 #include "dw1000/cir.hpp"
 #include "dw1000/pulse.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "ranging/search_subtract.hpp"
 #include "runner/monte_carlo.hpp"
 
@@ -98,6 +105,170 @@ TEST(FastPathEquivalence, TracedDetectEqualsExactPath) {
   // the search stopped at the noise floor before max_responses.
   EXPECT_GE(trace.mf_outputs.size(), trace.responses.size());
   EXPECT_LE(trace.mf_outputs.size(), trace.responses.size() + 1);
+}
+
+// How a search-and-subtract run ended.
+enum class Exit { kNoiseFloor, kRelativeStop, kMaxResponses };
+
+const char* exit_name(Exit e) {
+  switch (e) {
+    case Exit::kNoiseFloor: return "noise floor";
+    case Exit::kRelativeStop: return "relative stop";
+    case Exit::kMaxResponses: return "max_responses";
+  }
+  return "?";
+}
+
+// The exit the exact path took, read off its trace: a stopped search
+// records one rejected filter output after the accepted ones, and its peak
+// decides which stop fired (checked in the exact path's order).
+Exit exact_exit(const SearchSubtractDetector::DetectionTrace& trace) {
+  if (trace.mf_outputs.size() == trace.responses.size())
+    return Exit::kMaxResponses;
+  const CVec& y = trace.mf_outputs.back();
+  const double mag = std::abs(y[dsp::argmax_abs(y)]);
+  return mag < kNoiseThresholdFactor * dsp::noise_sigma_estimate(y)
+             ? Exit::kNoiseFloor
+             : Exit::kRelativeStop;
+}
+
+// Recorder on and empty for the test, off and empty afterwards.
+class RecordedDetect : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::FlightRecorder::instance().reset();
+    obs::FlightRecorder::set_enabled(true);
+  }
+  void TearDown() override {
+    obs::FlightRecorder::set_enabled(false);
+    obs::FlightRecorder::instance().reset();
+  }
+
+  // The detect events one call of `run` records.
+  template <typename Run>
+  static std::vector<obs::FrRecord> detect_events(Run run) {
+    obs::FlightRecorder::instance().reset();
+    run();
+    std::vector<obs::FrRecord> events;
+    for (const obs::FrRecord& r : obs::FlightRecorder::instance().collect())
+      if (r.kind == obs::FrKind::kDetect) events.push_back(r);
+    return events;
+  }
+};
+
+// The exit the fast path took, read off its last detect event.
+Exit fast_exit(const std::vector<obs::FrRecord>& events) {
+  if (events.empty() || std::strcmp(events.back().name, "peak_rejected") != 0)
+    return Exit::kMaxResponses;
+  return std::strcmp(events.back().detail, "below_noise") == 0
+             ? Exit::kNoiseFloor
+             : Exit::kRelativeStop;
+}
+
+// One CIR per exit: two moderate pulses over noise stop at the noise floor
+// before max_responses; a strong pulse with a weak one under
+// kRelativeStopFraction of it, over a far lower noise floor, stops
+// relatively; four strong pulses asked for two reach max_responses.
+struct StopCase {
+  Exit exit;
+  std::vector<std::pair<double, double>> arrivals;  // (position [taps], amp)
+  double noise_sigma;
+  int max_responses;
+};
+
+const StopCase kStopCases[] = {
+    {Exit::kNoiseFloor, {{60.0, 0.3}, {300.0, 0.2}}, 0.004, 6},
+    {Exit::kRelativeStop, {{60.0, 0.9}, {400.0, 0.01}}, 1e-5, 6},
+    {Exit::kMaxResponses,
+     {{60.0, 0.5}, {200.0, 0.4}, {350.0, 0.6}, {500.0, 0.3}},
+     0.004,
+     2},
+};
+
+dw::CirEstimate stop_case_cir(const StopCase& c, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<dw::CirArrival> arrivals;
+  for (std::size_t i = 0; i < c.arrivals.size(); ++i) {
+    dw::CirArrival a;
+    a.time_into_window_s = c.arrivals[i].first * k::cir_ts_s;
+    a.amplitude = Complex(c.arrivals[i].second, 0.0) * rng.random_phase();
+    a.tc_pgdelay = kShapeBank[i % 3];
+    arrivals.push_back(a);
+  }
+  dw::CirParams params;
+  params.noise_sigma = c.noise_sigma;
+  return dw::synthesize_cir(arrivals, params, rng);
+}
+
+TEST_F(RecordedDetect, FastMatchesExactOnEveryStopReason) {
+  SearchSubtractDetector det{multi_shape_config()};
+  for (const StopCase& c : kStopCases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto cir = stop_case_cir(c, seed);
+      std::vector<DetectedResponse> fast;
+      const auto fast_events = detect_events(
+          [&] { fast = det.detect(cir.taps, cir.ts_s, c.max_responses); });
+      const auto trace =
+          det.detect_with_trace(cir.taps, cir.ts_s, c.max_responses);
+      expect_same_responses(fast, trace.responses, seed);
+      // The case takes the exit it is named for, on both paths.
+      EXPECT_EQ(exact_exit(trace), c.exit)
+          << exit_name(c.exit) << " seed=" << seed;
+      if (c.exit != Exit::kMaxResponses) {
+        EXPECT_LT(fast.size(), static_cast<std::size_t>(c.max_responses));
+      }
+      if (obs::kEnabled) {
+        EXPECT_EQ(fast_exit(fast_events), c.exit)
+            << exit_name(c.exit) << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST_F(RecordedDetect, FastPathEventPayloadsMatchExactPath) {
+  // The fast path decides the noise-floor stop by counting and selects the
+  // median only for these payloads: they must carry what the exact path's
+  // full-median test reports.
+  if (!obs::kEnabled) GTEST_SKIP() << "record sites compiled out";
+  SearchSubtractDetector det{multi_shape_config()};
+  for (const StopCase& c : kStopCases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto cir = stop_case_cir(c, seed);
+      const auto fast = detect_events(
+          [&] { det.detect(cir.taps, cir.ts_s, c.max_responses); });
+      const auto exact = detect_events(
+          [&] { det.detect_with_trace(cir.taps, cir.ts_s, c.max_responses); });
+      const auto trace =
+          det.detect_with_trace(cir.taps, cir.ts_s, c.max_responses);
+      ASSERT_EQ(fast.size(), exact.size()) << exit_name(c.exit);
+      ASSERT_EQ(exact.size(), trace.mf_outputs.size()) << exit_name(c.exit);
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        SCOPED_TRACE(std::string(exit_name(c.exit)) + " seed=" +
+                     std::to_string(seed) + " event=" + std::to_string(i));
+        ASSERT_STREQ(fast[i].name, exact[i].name);
+        EXPECT_STREQ(fast[i].detail, exact[i].detail);
+        const bool accepted = std::strcmp(fast[i].name, "peak_accepted") == 0;
+        // Shape: v3 on accepted events, v2 on rejected ones.
+        const obs::FrValue& fast_shape = accepted ? fast[i].v3 : fast[i].v2;
+        const obs::FrValue& exact_shape = accepted ? exact[i].v3 : exact[i].v2;
+        EXPECT_STREQ(fast_shape.key, "shape");
+        EXPECT_EQ(fast_shape.value, exact_shape.value);
+        ASSERT_STREQ(fast[i].v1.key, "threshold");
+        EXPECT_NEAR(fast[i].v1.value, exact[i].v1.value,
+                    1e-9 * exact[i].v1.value);
+        // The noise threshold is K * noise_sigma_estimate of the filter
+        // output the iteration searched.
+        const bool relative = fast[i].detail != nullptr &&
+                              std::strcmp(fast[i].detail, "relative_stop") == 0;
+        if (!relative) {
+          EXPECT_NEAR(fast[i].v1.value,
+                      kNoiseThresholdFactor *
+                          dsp::noise_sigma_estimate(trace.mf_outputs[i]),
+                      1e-9 * fast[i].v1.value);
+        }
+      }
+    }
+  }
 }
 
 TEST(FastPathEquivalence, ApplySpectrumMatchesApply) {

@@ -5,13 +5,16 @@
 // (and thread-count deterministic) at every forced level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/peaks.hpp"
 #include "dw1000/cir.hpp"
 #include "ranging/search_subtract.hpp"
 #include "runner/monte_carlo.hpp"
@@ -204,6 +207,104 @@ TEST(SimdKernels, ArgmaxNormTiesResolveToLowestIndexEverywhere) {
     ASSERT_TRUE(simd::set_active_level(level));
     EXPECT_EQ(simd::argmax_norm(flat.data(), 11), 0u)
         << "level=" << simd::level_name(level);
+  }
+}
+
+// Blocks of dsp::update_block_maxima recomputed from scratch, for the
+// window-refresh test to compare against.
+std::vector<dsp::BlockMax> fresh_block_maxima(const CVec& y) {
+  std::vector<dsp::BlockMax> blocks((y.size() + dsp::kMaxBlock - 1) /
+                                    dsp::kMaxBlock);
+  dsp::update_block_maxima(y, 0, y.size(), blocks);
+  return blocks;
+}
+
+void expect_block_maxima_match_argmax(const CVec& y, const char* what) {
+  const double* yd = reinterpret_cast<const double*>(y.data());
+  const std::vector<dsp::BlockMax> blocks = fresh_block_maxima(y);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::size_t start = b * dsp::kMaxBlock;
+    const std::size_t len = std::min(dsp::kMaxBlock, y.size() - start);
+    EXPECT_EQ(blocks[b].index, start + simd::argmax_norm(yd + 2 * start, len))
+        << what << " n=" << y.size() << " block=" << b;
+    EXPECT_EQ(blocks[b].norm, std::norm(y[blocks[b].index]))
+        << what << " n=" << y.size() << " block=" << b;
+  }
+  EXPECT_EQ(dsp::peak_of_block_maxima(blocks).index,
+            simd::argmax_norm(yd, y.size()))
+      << what << " n=" << y.size();
+}
+
+TEST(SimdKernels, BlockMaximaPickTheArgmaxNormSample) {
+  LevelGuard guard;
+  // Sizes below one block, at a block boundary, and with a shorter last
+  // block.
+  for (const std::size_t n : {1ul, 100ul, 256ul, 257ul, 700ul, 8192ul}) {
+    Rng rng(41 * n);
+    CVec y(n);
+    for (auto& v : y) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    for (const simd::Level level : supported_levels()) {
+      ASSERT_TRUE(simd::set_active_level(level));
+      expect_block_maxima_match_argmax(y, simd::level_name(level));
+    }
+  }
+}
+
+TEST(SimdKernels, BlockMaximaTiesResolveToLowestIndex) {
+  LevelGuard guard;
+  // Shared maxima inside one block, across a block boundary, and in a
+  // short last block (n = 700: blocks of 256, 256 and 188 samples).
+  const std::vector<std::size_t> cases[] = {
+      {10, 200}, {255, 256}, {300, 511, 512}, {520, 699}, {650, 699},
+      {0, 256, 512}};
+  for (const auto& max_at : cases) {
+    CVec y(700);
+    for (std::size_t j = 0; j < y.size(); ++j)
+      y[j] = {0.01 * static_cast<double>(j % 3), 0.0};
+    for (const std::size_t j : max_at) y[j] = {3.0, 4.0};
+    for (const simd::Level level : supported_levels()) {
+      ASSERT_TRUE(simd::set_active_level(level));
+      expect_block_maxima_match_argmax(y, simd::level_name(level));
+      EXPECT_EQ(dsp::peak_of_block_maxima(fresh_block_maxima(y)).index,
+                max_at.front())
+          << "level=" << simd::level_name(level);
+    }
+  }
+  // All-equal input: index 0.
+  const CVec flat(700, Complex{0.5, 0.5});
+  EXPECT_EQ(dsp::peak_of_block_maxima(fresh_block_maxima(flat)).index, 0u);
+}
+
+TEST(SimdKernels, BlockMaximaWindowRefreshEqualsFullRecompute) {
+  LevelGuard guard;
+  for (const simd::Level level : supported_levels()) {
+    ASSERT_TRUE(simd::set_active_level(level));
+    Rng rng(43);
+    CVec y(1000);
+    for (auto& v : y) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    std::vector<dsp::BlockMax> blocks = fresh_block_maxima(y);
+    // Windows inside one block, across boundaries, and into the short last
+    // block; each lowers the old maximum and raises a new one inside.
+    const std::pair<std::size_t, std::size_t> windows[] = {
+        {300, 450}, {250, 520}, {700, 1000}, {0, 1}, {511, 513}};
+    double raised = 2.0;
+    for (const auto& [lo, hi] : windows) {
+      const std::size_t old_peak = dsp::peak_of_block_maxima(blocks).index;
+      for (std::size_t j = lo; j < hi; ++j) y[j] *= 0.5;
+      if (old_peak >= lo && old_peak < hi) y[old_peak] = {};
+      raised += 1.0;
+      y[(lo + hi) / 2] = {raised, 0.0};
+      dsp::update_block_maxima(y, lo, hi, blocks);
+      const std::vector<dsp::BlockMax> ref = fresh_block_maxima(y);
+      ASSERT_EQ(blocks.size(), ref.size());
+      for (std::size_t b = 0; b < ref.size(); ++b) {
+        EXPECT_EQ(blocks[b].index, ref[b].index)
+            << simd::level_name(level) << " window=[" << lo << "," << hi
+            << ") block=" << b;
+        EXPECT_EQ(blocks[b].norm, ref[b].norm);
+      }
+      EXPECT_EQ(dsp::peak_of_block_maxima(blocks).index, (lo + hi) / 2);
+    }
   }
 }
 
